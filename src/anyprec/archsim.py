@@ -101,7 +101,6 @@ class SimReport:
     noc_bits: int
     sram_read_bits: int
     sram_write_bits: int
-    precision_loss_events: int = 0
     energy_j: float = 0.0
     breakdowns: dict = field(default_factory=dict)
 
@@ -442,17 +441,16 @@ def load_machine(source) -> AcceleratorConfig:
     shipped preset)."""
     if isinstance(source, AcceleratorConfig):
         return source
-    text = None
     name = str(source)
-    if name.endswith(".json"):
-        with open(name) as fh:
-            text = fh.read()
-    else:
-        ref = resources.files("anyprec").joinpath(f"data/machines/{name}.json")
-        if not ref.is_file():
-            raise ConfigError(f"unknown machine {name!r}")
-        text = ref.read_text()
     try:
+        if name.endswith(".json"):
+            with open(name) as fh:
+                text = fh.read()
+        else:
+            ref = resources.files("anyprec").joinpath(f"data/machines/{name}.json")
+            if not ref.is_file():
+                raise ConfigError(f"unknown machine {name!r}")
+            text = ref.read_text()
         raw = json.loads(text)
         return AcceleratorConfig(
             name=raw["name"],
@@ -471,6 +469,8 @@ def load_machine(source) -> AcceleratorConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"machine config {name!r} missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"machine config {name!r}: {exc}") from exc
 
 
 def builtin_machines() -> list[str]:

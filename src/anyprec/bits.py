@@ -83,13 +83,5 @@ class BitVector:
             bv._bytes[-1] &= 0xFF << extra & 0xFF
         return bv
 
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        bv = cls(len(bits))
-        for i, b in enumerate(bits):
-            if b:
-                bv.set(i, 1)
-        return bv
-
     def bits(self) -> list[int]:
         return [self.get(i) for i in range(self._nbits)]

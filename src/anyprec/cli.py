@@ -1,8 +1,10 @@
 """Command-line front end: validate, run, pack, ablate.
 
 Exit codes: 0 success, 1 validation mismatch, 2 configuration error.
-Sweep points may run on a thread pool; rows are canonically ordered
-before writing so parallelism never changes the output bytes.
+`run` and `ablate` simulate and format each distinct GEMM point (dims and
+formats) once and expand it to every layer that repeats it; rows are
+canonically ordered before writing. `--jobs` is accepted for compatibility
+but has no effect: the sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import archsim, bitpack, cost, validate, workloads
@@ -59,63 +60,66 @@ def _fmt_num(x) -> str:
     return str(x)
 
 
-def _simulate_point(machine, g, dataflow, table):
-    if dataflow == "best":
-        flex = archsim.best_dataflow(g, machine)
-    else:
-        flex = archsim.simulate(g, machine, dataflow)
-    tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
-    bf = archsim.simulate_baseline(g, machine, archsim.BIT_FUSION)
-    rows = []
-    for arch, rep in (("flexible", flex), ("tensorcore", tc), ("bitfusion", bf)):
-        total, _ = cost.energy(rep, table)
-        rows.append(
-            {
-                "arch": arch,
-                "dataflow": rep.dataflow,
-                "cycles": rep.cycles,
-                "seconds": rep.seconds,
-                "macs": rep.macs,
-                "macs_per_cycle": rep.macs_per_cycle,
-                "pe_util": rep.pe_util,
-                "dram_bits_read": rep.dram_bits_read,
-                "dram_bits_written": rep.dram_bits_written,
-                "noc_bits": rep.noc_bits,
-                "sram_read_bits": rep.sram_read_bits,
-                "sram_write_bits": rep.sram_write_bits,
-                "energy_j": total,
-                "edp_js": cost.edp(rep.seconds, total),
-                "norm": rep.cycles / tc.cycles,
-            }
-        )
-    return rows
-
-
-def cmd_run(manifest: RunManifest, stdout=None) -> int:
-    stdout = stdout or sys.stdout
-    machine = archsim.load_machine(manifest.machine)
-    table = cost.load_energy_table(manifest.energy_table)
-    points = []
+def _sweep(manifest: RunManifest, evaluate) -> list:
+    """(model name, layer label, pair, evaluate(g)) for every GEMM point of
+    the manifest's sweep, in sweep order. `evaluate` may depend only on the
+    GEMM's dims and formats, so it runs once per distinct point: every layer
+    of a model repeats the same few layer GEMMs."""
+    done = {}
+    out = []
     for model_name in manifest.models:
         model = workloads.load_model(model_name)
         for pa, pw, gemms in workloads.precision_sweep(
             model, manifest.pairs, include_attention=manifest.include_attention
         ):
             for g in gemms:
-                points.append((model.name, f"{pa}:{pw}", g))
+                key = (g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o)
+                if key not in done:
+                    done[key] = evaluate(g)
+                out.append((model.name, g.label, f"{pa}:{pw}", done[key]))
+    return out
 
-    def work(point):
-        model_name, pair, g = point
-        return (model_name, g.label, pair), g, _simulate_point(
-            machine, g, manifest.dataflow, table
-        )
 
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-            results = list(pool.map(work, points))
+def _simulate_point(machine, g, dataflow, table):
+    """The run.csv row tails (everything after model,layer,pair) of one
+    point, one per architecture, and the flexible design's seconds and
+    joules."""
+    if dataflow == "best":
+        flex = archsim.best_dataflow(g, machine)
     else:
-        results = [work(p) for p in points]
-    results.sort(key=lambda kv: kv[0])
+        flex = archsim.simulate(g, machine, dataflow)
+    tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
+    bf = archsim.simulate_baseline(g, machine, archsim.BIT_FUSION)
+    tails = []
+    for arch, rep in (("flexible", flex), ("tensorcore", tc), ("bitfusion", bf)):
+        total, _ = cost.energy(rep, table)
+        tails.append(
+            ",".join(
+                [
+                    arch, rep.dataflow,
+                    str(g.m), str(g.n), str(g.k),
+                    str(rep.cycles), _fmt_num(rep.seconds),
+                    str(rep.macs), _fmt_num(rep.macs_per_cycle),
+                    _fmt_num(rep.pe_util),
+                    str(rep.dram_bits_read), str(rep.dram_bits_written),
+                    str(rep.noc_bits), str(rep.sram_read_bits),
+                    str(rep.sram_write_bits),
+                    _fmt_num(total), _fmt_num(cost.edp(rep.seconds, total)),
+                    _fmt_num(rep.cycles / tc.cycles),
+                ]
+            )
+        )
+    return tails, flex.seconds, flex.energy_j
+
+
+def cmd_run(manifest: RunManifest, stdout=None) -> int:
+    stdout = stdout or sys.stdout
+    machine = archsim.load_machine(manifest.machine)
+    table = cost.load_energy_table(manifest.energy_table)
+    results = _sweep(
+        manifest, lambda g: _simulate_point(machine, g, manifest.dataflow, table)
+    )
+    results.sort(key=lambda r: r[:3])
 
     out_dir = os.environ.get("ANYPREC_OUTPUT_DIR", manifest.out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -124,32 +128,16 @@ def cmd_run(manifest: RunManifest, stdout=None) -> int:
         f"# {SCHEMA_VERSION} {manifest.describe()}",
         ",".join(RUN_COLUMNS),
     ]
-    for (model_name, label, pair), g_dims, rows in results:
-        _, layer = label.split(".", 1)
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        model_name, layer, pair, row["arch"], row["dataflow"],
-                        str(g_dims.m), str(g_dims.n), str(g_dims.k),
-                        str(row["cycles"]), _fmt_num(row["seconds"]),
-                        str(row["macs"]), _fmt_num(row["macs_per_cycle"]),
-                        _fmt_num(row["pe_util"]),
-                        str(row["dram_bits_read"]), str(row["dram_bits_written"]),
-                        str(row["noc_bits"]), str(row["sram_read_bits"]),
-                        str(row["sram_write_bits"]),
-                        _fmt_num(row["energy_j"]), _fmt_num(row["edp_js"]),
-                        _fmt_num(row["norm"]),
-                    ]
-                )
-            )
+    total_s = total_e = 0
+    for model_name, label, pair, (tails, flex_s, flex_e) in results:
+        prefix = f"{model_name},{label.split('.', 1)[1]},{pair},"
+        lines.extend(prefix + tail for tail in tails)
+        total_s += flex_s
+        total_e += flex_e
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    flex_rows = [r for _, _, rows in results for r in rows if r["arch"] == "flexible"]
-    if flex_rows:
-        total_s = sum(r["seconds"] for r in flex_rows)
-        total_e = sum(r["energy_j"] for r in flex_rows)
+    if results:
         print(
             f"{len(results)} points -> {path}\n"
             f"flexible total: {total_s:.6g} s, {total_e:.6g} J",
@@ -163,32 +151,34 @@ def cmd_run(manifest: RunManifest, stdout=None) -> int:
 def cmd_ablate(manifest: RunManifest, stdout=None) -> int:
     stdout = stdout or sys.stdout
     machine = archsim.load_machine(manifest.machine)
-    rows = []
-    for model_name in manifest.models:
-        model = workloads.load_model(model_name)
-        for pa, pw, gemms in workloads.precision_sweep(
-            model, manifest.pairs, include_attention=manifest.include_attention
-        ):
-            for g in gemms:
-                df = manifest.dataflow if manifest.dataflow != "best" else archsim.WS
-                packed, padded = archsim.packing_ablation(g, machine, df)
-                tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
-                imp = 1 - packed.cycles / padded.cycles
-                for layout, rep in (("packed", packed), ("padded", padded)):
-                    bound = max(
-                        rep.breakdowns["cycles"],
-                        key=lambda k: rep.breakdowns["cycles"][k],
-                    )
-                    rows.append(
-                        [
-                            model.name, g.label.split(".", 1)[1], f"{pa}:{pw}",
-                            layout, rep.dataflow, str(rep.cycles),
-                            _fmt_num(rep.seconds), str(rep.dram_bits_read),
-                            str(rep.dram_bits_written), str(rep.noc_bits),
-                            bound, _fmt_num(imp if layout == "packed" else 0.0),
-                            _fmt_num(rep.cycles / tc.cycles),
-                        ]
-                    )
+    df = manifest.dataflow if manifest.dataflow != "best" else archsim.WS
+
+    def evaluate(g):
+        packed, padded = archsim.packing_ablation(g, machine, df)
+        tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
+        imp = 1 - packed.cycles / padded.cycles
+        tails = []
+        for layout, rep in (("packed", packed), ("padded", padded)):
+            bound = max(
+                rep.breakdowns["cycles"],
+                key=lambda k: rep.breakdowns["cycles"][k],
+            )
+            tails.append(
+                [
+                    layout, rep.dataflow, str(rep.cycles),
+                    _fmt_num(rep.seconds), str(rep.dram_bits_read),
+                    str(rep.dram_bits_written), str(rep.noc_bits),
+                    bound, _fmt_num(imp if layout == "packed" else 0.0),
+                    _fmt_num(rep.cycles / tc.cycles),
+                ]
+            )
+        return tails
+
+    rows = [
+        [model_name, label.split(".", 1)[1], pair, *tail]
+        for model_name, label, pair, tails in _sweep(manifest, evaluate)
+        for tail in tails
+    ]
     rows.sort()
     out_dir = os.environ.get("ANYPREC_OUTPUT_DIR", manifest.out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -288,6 +278,16 @@ def cmd_pack(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="anyprec",
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="datapath-vs-reference sweeps")
     v.add_argument("--scope", choices=["codec", "pe", "pack", "all"], default="all")
     v.add_argument("--max-bits", type=int, default=12)
-    v.add_argument("--samples", type=int, default=10_000)
+    v.add_argument("--samples", type=_at_least_one, default=10_000)
     v.add_argument("--seed", type=int, default=0)
 
     r = sub.add_parser("run", help="simulate models across machines and precisions")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--energy-table", default="default_synthetic")
     r.add_argument("--out", default=".")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_at_least_one, default=1, help="accepted; has no effect")
     r.add_argument("--no-attention", action="store_true")
 
     a = sub.add_parser("ablate", help="packed vs padded layout comparison")

@@ -56,15 +56,15 @@ def load_energy_table(source) -> EnergyTable:
     if isinstance(source, EnergyTable):
         return source
     name = str(source)
-    if name.endswith(".json"):
-        with open(name) as fh:
-            raw = json.load(fh)
-    else:
-        ref = resources.files("anyprec").joinpath(f"data/energy/{name}.json")
-        if not ref.is_file():
-            raise ConfigError(f"unknown energy table {name!r}")
-        raw = json.loads(ref.read_text())
     try:
+        if name.endswith(".json"):
+            with open(name) as fh:
+                raw = json.load(fh)
+        else:
+            ref = resources.files("anyprec").joinpath(f"data/energy/{name}.json")
+            if not ref.is_file():
+                raise ConfigError(f"unknown energy table {name!r}")
+            raw = json.loads(ref.read_text())
         return EnergyTable(
             provenance=raw["provenance"],
             prim_and_pj=raw["prim_and_pj"],
@@ -82,6 +82,8 @@ def load_energy_table(source) -> EnergyTable:
         )
     except KeyError as exc:
         raise ConfigError(f"energy table missing entry {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"energy table {name!r}: {exc}") from exc
 
 
 _PJ = 1e-12

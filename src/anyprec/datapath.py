@@ -34,9 +34,6 @@ class PERegisters:
     wgt_exp: np.ndarray | None = None
     wgt_man: np.ndarray | None = None
     prim_reg: np.ndarray | None = None
-    acc_reg: dict | None = None
-    mx_scale_act: ScalarValue | None = None
-    mx_scale_wgt: ScalarValue | None = None
 
 
 def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:

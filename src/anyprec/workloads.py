@@ -47,15 +47,15 @@ def load_model(source) -> ModelSpec:
     if isinstance(source, ModelSpec):
         return source
     name = str(source)
-    if name.endswith(".json"):
-        with open(name) as fh:
-            raw = json.load(fh)
-    else:
-        ref = resources.files("anyprec").joinpath(f"data/models/{name}.json")
-        if not ref.is_file():
-            raise ConfigError(f"unknown model {name!r}")
-        raw = json.loads(ref.read_text())
     try:
+        if name.endswith(".json"):
+            with open(name) as fh:
+                raw = json.load(fh)
+        else:
+            ref = resources.files("anyprec").joinpath(f"data/models/{name}.json")
+            if not ref.is_file():
+                raise ConfigError(f"unknown model {name!r}")
+            raw = json.loads(ref.read_text())
         return ModelSpec(
             name=raw["name"],
             seq_len=raw["seq_len"],
@@ -66,6 +66,8 @@ def load_model(source) -> ModelSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"model config {name!r} missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"model config {name!r}: {exc}") from exc
 
 
 def builtin_models() -> list[str]:

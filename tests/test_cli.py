@@ -1,12 +1,17 @@
 """CLI subcommands: validation sweeps, run determinism, file packing."""
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 
+import pytest
+
+from anyprec import archsim
 from anyprec.bitpack import read_packed_file
-from anyprec.cli import RunManifest, cmd_run, cmd_validate
+from anyprec.cli import RunManifest, cmd_run, cmd_validate, main
+from anyprec.workloads import DEFAULT_SWEEP_PAIRS
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -104,6 +109,64 @@ class TestRun:
         proc = run_cli(["run", "--machine", "nonexistent", "--out", str(tmp_path)])
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_default_pairs_csv_pinned(self, tmp_path):
+        # bert_base on mobile_a over the 13 default pairs; any change to a
+        # simulated figure, its formatting or the row order moves this digest
+        cmd_run(self._manifest(tmp_path, pairs=DEFAULT_SWEEP_PAIRS))
+        digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+        assert digest == "3058f8453256cac9602656db9b4393c29890ff2cbe86cf38f1ad3df507747dae"
+
+    def test_each_distinct_point_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = archsim.best_dataflow
+
+        def counting(g, machine, *args, **kwargs):
+            calls.append((g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o))
+            return real(g, machine, *args, **kwargs)
+
+        monkeypatch.setattr(archsim, "best_dataflow", counting)
+        cmd_run(self._manifest(tmp_path, pairs=DEFAULT_SWEEP_PAIRS))
+        rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
+        # 12 layers x 6 layer classes x 13 pairs, 3 architectures each
+        assert len(rows) == 936 * 3
+        assert len(calls) == len(set(calls)) == 6 * 13
+
+
+class TestBadInput:
+    """Bad arguments and configs end in a one-line error and exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--samples", "-5"],
+        ["validate", "--samples", "0"],
+        ["run", "--jobs", "0"],
+    ])
+    def test_argument_below_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def _expect_config_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_missing_machine_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        self._expect_config_error(
+            ["run", "--machine", missing, "--out", str(tmp_path)], capsys, "nope.json"
+        )
+
+    @pytest.mark.parametrize("flag", ["--machine", "--models", "--energy-table"])
+    def test_malformed_json(self, flag, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self._expect_config_error(
+            ["run", flag, str(bad), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, "bad.json",
+        )
 
 
 class TestAblate:
