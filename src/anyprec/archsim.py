@@ -436,6 +436,16 @@ def packing_ablation(
 # --------------------------------------------------------------------------
 
 
+_MACHINE_KEY_TYPES = {
+    **dict.fromkeys(("num_pes", "array_x", "array_y", "reg_width", "reconfig_cycles"), int),
+    **dict.fromkeys(
+        ("wgt_glb_mb", "act_out_glb_mb", "local_buf_kb_per_pe",
+         "noc_w_gbps", "noc_a_gbps", "offchip_gbps", "clock_ghz"),
+        (int, float),
+    ),
+}
+
+
 def load_machine(source) -> AcceleratorConfig:
     """Load a machine description from a JSON file (path or name of a
     shipped preset)."""
@@ -452,6 +462,13 @@ def load_machine(source) -> AcceleratorConfig:
                 raise ConfigError(f"unknown machine {name!r}")
             text = ref.read_text()
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"machine config {name!r} is not a JSON object")
+        for key, value in raw.items():
+            kind = _MACHINE_KEY_TYPES.get(key)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                expected = "an integer" if kind is int else "a number"
+                raise ConfigError(f"machine config {name!r}: {key} must be {expected}, got {value!r}")
         return AcceleratorConfig(
             name=raw["name"],
             num_pes=raw["num_pes"],

@@ -256,36 +256,45 @@ def cmd_pack(args) -> int:
     if args.container % 8:
         raise FormatError("file packing needs a byte-aligned container")
     cbytes = args.container // 8
-    if args.unpack:
-        buf = bitpack.read_packed_file(args.input)
-        stream = bitpack.unpack(buf, args.container)
-        with open(args.output, "wb") as fh:
-            for w in stream.words:
-                fh.write(w.to_bytes(cbytes, "big"))
-        print(f"{buf.elem_count} elements -> {args.output}")
-    else:
-        with open(args.input, "rb") as fh:
-            raw = fh.read()
-        if len(raw) % cbytes:
-            raise FormatError(f"input not a multiple of {cbytes}-byte containers")
-        words = [
-            int.from_bytes(raw[i : i + cbytes], "big") for i in range(0, len(raw), cbytes)
-        ]
-        stream = bitpack.PaddedStream(words, args.container, fmt)
-        buf = bitpack.pack(stream, args.start_idx)
-        bitpack.write_packed_file(args.output, buf)
-        print(f"{buf.elem_count} elements -> {args.output}")
+    try:
+        if args.unpack:
+            buf = bitpack.read_packed_file(args.input)
+            stream = bitpack.unpack(buf, args.container)
+            with open(args.output, "wb") as fh:
+                for w in stream.words:
+                    fh.write(w.to_bytes(cbytes, "big"))
+        else:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
+            if len(raw) % cbytes:
+                raise FormatError(f"input not a multiple of {cbytes}-byte containers")
+            words = [
+                int.from_bytes(raw[i : i + cbytes], "big") for i in range(0, len(raw), cbytes)
+            ]
+            stream = bitpack.PaddedStream(words, args.container, fmt)
+            buf = bitpack.pack(stream, args.start_idx)
+            bitpack.write_packed_file(args.output, buf)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    print(f"{buf.elem_count} elements -> {args.output}")
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi] (no upper limit when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="datapath-vs-reference sweeps")
     v.add_argument("--scope", choices=["codec", "pe", "pack", "all"], default="all")
-    v.add_argument("--max-bits", type=int, default=12)
-    v.add_argument("--samples", type=_at_least_one, default=10_000)
+    v.add_argument("--max-bits", type=_int_in(3, 12), default=12)
+    v.add_argument("--samples", type=_int_in(1), default=10_000)
     v.add_argument("--seed", type=int, default=0)
 
     r = sub.add_parser("run", help="simulate models across machines and precisions")
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--energy-table", default="default_synthetic")
     r.add_argument("--out", default=".")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=_at_least_one, default=1, help="accepted; has no effect")
+    r.add_argument("--jobs", type=_int_in(1), default=1, help="accepted; has no effect")
     r.add_argument("--no-attention", action="store_true")
 
     a = sub.add_parser("ablate", help="packed vs padded layout comparison")
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("input")
     k.add_argument("output")
     k.add_argument("--fmt", required=True)
-    k.add_argument("--container", type=int, default=8)
+    k.add_argument("--container", type=_int_in(1), default=8)
     k.add_argument("--start-idx", type=int, default=0)
     k.add_argument("--unpack", action="store_true")
     return p

@@ -1,8 +1,9 @@
 """Bit-level functional model of one processing element.
 
 Every stage operates on numpy bit arrays whose last axis is the register
-width, so a single code path serves both one-shot calls (batch of 1) and
-the exhaustive verification sweeps (large batches). Mantissa products are
+width; leading axes batch register loads. One code path serves a single
+multiply (batch of 1), a GEMM tile (every register load of the tile in
+one batch) and the exhaustive verification sweeps. Mantissa products are
 built from bit-product primitives reduced by the compiled tree plan;
 exponents travel through the segmented carry-chain adder; results encode
 through truncation with saturation.
@@ -10,6 +11,7 @@ through truncation with saturation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,6 @@ class PERegisters:
     wgt_sign: np.ndarray | None = None
     wgt_exp: np.ndarray | None = None
     wgt_man: np.ndarray | None = None
-    prim_reg: np.ndarray | None = None
 
 
 def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
@@ -128,7 +129,6 @@ def gen_primitives(regs: PERegisters, bundle: ControlBundle, pass_idx: int = 0) 
             regs.act_man[..., np.asarray(a_idx, dtype=np.intp)]
             & regs.wgt_man[..., np.asarray(w_idx, dtype=np.intp)]
         )
-    regs.prim_reg = out
     return out
 
 
@@ -153,13 +153,45 @@ def apply_implicit_one(raw, a, w, p: int, q: int):
     return step1 + (a << q) + (1 << (p + q))
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform_segment(breaks: tuple) -> int:
+    """Segment length seg when carries stop after every seg-th bit (the
+    masks control.compile_exp_adder builds), else 0."""
+    if 1 not in breaks:
+        return 0
+    seg = breaks.index(1) + 1
+    if all(bool(b) == ((i + 1) % seg == 0) for i, b in enumerate(breaks)):
+        return seg
+    return 0
+
+
+def _ripple(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Ripple-carry add along the last axis into out, with no breaks."""
+    carry = np.zeros(x.shape[:-1], dtype=np.int8)
+    for i in range(x.shape[-1]):
+        s = x[..., i] + y[..., i] + carry
+        out[..., i] = s & 1
+        carry = s >> 1
+
+
 def segmented_add(x_bits: np.ndarray, y_bits: np.ndarray, breaks) -> np.ndarray:
-    """Ripple-carry add two bit vectors; carries stop at break positions."""
+    """Ripple-carry add two bit vectors; carries stop at break positions.
+
+    Masks that break every seg bits ripple all segments side by side, as
+    (..., n_seg, seg) views plus one view for a trailing partial segment;
+    any other mask ripples bit by bit across the whole width."""
     x = np.asarray(x_bits, dtype=np.int8)
     y = np.asarray(y_bits, dtype=np.int8)
     if x.shape != y.shape or x.shape[-1] != len(breaks):
         raise ShapeError("operand/break widths disagree")
     out = np.zeros_like(x)
+    seg = _uniform_segment(tuple(breaks))
+    if seg:
+        full = x.shape[-1] - x.shape[-1] % seg
+        lead = x.shape[:-1]
+        _ripple(*(v[..., :full].reshape(*lead, full // seg, seg) for v in (x, y, out)))
+        _ripple(x[..., full:], y[..., full:], out[..., full:])
+        return out
     carry = np.zeros(x.shape[:-1], dtype=np.int8)
     for i in range(x.shape[-1]):
         s = x[..., i] + y[..., i] + carry
@@ -187,25 +219,27 @@ def add_exponents(regs: PERegisters, bundle: ControlBundle) -> np.ndarray:
         return np.zeros(regs.act_reg.shape[:-1] + (bundle.ops_per_load,), dtype=np.int64)
     seg = bundle.add_width + 1
     segs_per_pass = bundle.cfg.exp_adder_bits // seg
-    e_a = _field_values(regs.act_exp, bundle.fmt_a.exp_bits, bundle.n_acts)
-    e_w = _field_values(regs.wgt_exp, bundle.fmt_w.exp_bits, bundle.n_wgts)
+    lead = regs.act_reg.shape[:-1]
     ops = bundle.ops_per_load
-    sums = np.zeros(regs.act_reg.shape[:-1] + (ops,), dtype=np.int64)
-    shifts = np.arange(seg, dtype=np.int64)
+    sums = np.zeros(lead + (ops,), dtype=np.int64)
     for start in range(0, ops, segs_per_pass):
-        chunk = list(range(start, min(start + segs_per_pass, ops)))
-        x = np.zeros(regs.act_reg.shape[:-1] + (bundle.cfg.exp_adder_bits,), dtype=np.int8)
+        stop = min(start + segs_per_pass, ops)
+        o = np.arange(start, stop)
+        lane0 = (o - start)[:, None] * seg
+        x = np.zeros(lead + (bundle.cfg.exp_adder_bits,), dtype=np.int8)
         y = np.zeros_like(x)
-        for local, o in enumerate(chunk):
-            a, w = o % bundle.n_acts, o // bundle.n_acts
-            for t in range(bundle.fmt_a.exp_bits):
-                x[..., local * seg + t] = (e_a[..., a] >> t) & 1
-            for t in range(bundle.fmt_w.exp_bits):
-                y[..., local * seg + t] = (e_w[..., w] >> t) & 1
+        # lane bit t of an operation is bit t of its operand's field, which
+        # the MSB-first exponent register holds at elem * width + width - 1 - t
+        for dst, reg, elem, width in (
+            (x, regs.act_exp, o % bundle.n_acts, bundle.fmt_a.exp_bits),
+            (y, regs.wgt_exp, o // bundle.n_acts, bundle.fmt_w.exp_bits),
+        ):
+            t = np.arange(width)
+            dst[..., (lane0 + t).ravel()] = reg[..., (elem[:, None] * width + width - 1 - t).ravel()]
         out = segmented_add(x, y, bundle.adder_breaks)
-        for local, o in enumerate(chunk):
-            lane = out[..., local * seg : (local + 1) * seg].astype(np.int64)
-            sums[..., o] = (lane << shifts).sum(axis=-1)
+        lanes = out[..., : (stop - start) * seg].reshape(*lead, stop - start, seg)
+        for t in range(seg):
+            sums[..., start:stop] += lanes[..., t].astype(np.int64) << t
     return sums
 
 
@@ -491,31 +525,29 @@ def pe_mac_tile(
         raise ShapeError(f"A tile holds {a_tile.elem_count} elements, needs {m * k}")
     if w_tile.elem_count != k * n:
         raise ShapeError(f"W tile holds {w_tile.elem_count} elements, needs {k * n}")
-    aw = a_tile.words()
-    ww = w_tile.words()
+    na, nw = bundle.n_acts, bundle.n_wgts
+    mb, nb = -(-m // na), -(-n // nw)
+    # pad the ragged last m/n block with word 0, as capacity padding inside
+    # a register load does; products of padded rows/columns are dropped
+    a_pad = np.zeros((mb * na, k), dtype=np.int64)
+    a_pad[:m] = np.asarray(a_tile.words(), dtype=np.int64).reshape(m, k)
+    w_pad = np.zeros((k, nb * nw), dtype=np.int64)
+    w_pad[:, :n] = np.asarray(w_tile.words(), dtype=np.int64).reshape(k, n)
     stats = TileStats()
 
-    per_out: dict[tuple[int, int], list] = {(i, j): [] for i in range(m) for j in range(n)}
-    for kk in range(k):
-        for m0 in range(0, m, bundle.n_acts):
-            ma = min(bundle.n_acts, m - m0)
-            col = [aw[(m0 + mi) * k + kk] for mi in range(ma)]
-            for n0 in range(0, n, bundle.n_wgts):
-                nw = min(bundle.n_wgts, n - n0)
-                row = [ww[kk * n + (n0 + nj)] for nj in range(nw)]
-                raw = run_cross_products(
-                    bundle,
-                    np.asarray(col, dtype=np.int64)[None, :],
-                    np.asarray(row, dtype=np.int64)[None, :],
-                )
-                for mi in range(ma):
-                    for nj in range(nw):
-                        o = raw.op_index(mi, nj)
-                        if bool(raw.zero[0, o]):
-                            continue
-                        per_out[(m0 + mi, n0 + nj)].append(
-                            (int(raw.sign[0, o]), int(raw.sig[0, o]), int(raw.exp_sum[0, o]))
-                        )
+    # one register load per (kk, m0, n0) block, all driven as one batch
+    words_a = np.broadcast_to(a_pad.T.reshape(k, mb, 1, na), (k, mb, nb, na))
+    words_w = np.broadcast_to(w_pad.reshape(k, 1, nb, nw), (k, mb, nb, nw))
+    raw = run_cross_products(bundle, words_a.reshape(-1, na), words_w.reshape(-1, nw))
+
+    def per_output(v):
+        # (load, op) with op = w * n_acts + a  ->  nested [row][col][kk] lists
+        v = v.reshape(k, mb, nb, nw, na).transpose(1, 4, 2, 3, 0)
+        return v.reshape(mb * na, nb * nw, k)[:m, :n].tolist()
+
+    sig, exp_sum, sign, zero = (
+        per_output(v) for v in (raw.sig, raw.exp_sum, raw.sign, raw.zero)
+    )
 
     scale = ExactNumber(0, 1, 0)
     if mx_scales is not None:
@@ -525,7 +557,11 @@ def pe_mac_tile(
     out_words = []
     for i in range(m):
         for j in range(n):
-            prods = per_out[(i, j)]
+            prods = [
+                (s, g, e)
+                for s, g, e, z in zip(sign[i][j], sig[i][j], exp_sum[i][j], zero[i][j])
+                if not z
+            ]
             acc = ExactNumber.zero()
             for g0 in range(0, len(prods), group):
                 acc = acc.add(_group_reduce(prods[g0 : g0 + group], bundle, stats))

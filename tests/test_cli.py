@@ -1,6 +1,7 @@
 """CLI subcommands: validation sweeps, run determinism, file packing."""
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -146,6 +147,41 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits, needle", [("0", "must be >= 3"), ("2", "must be >= 3"), ("14", "must be <= 12")])
+    def test_max_bits_out_of_range(self, bits, needle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--scope", "codec", "--max-bits", bits])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_pack_container_zero(self, tmp_path, capsys):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"\x00" * 4)
+        with pytest.raises(SystemExit) as exc:
+            main(["pack", str(src), str(tmp_path / "out.fxbp"), "--fmt", "e2m3", "--container", "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unpack", [False, True])
+    def test_pack_missing_input(self, unpack, tmp_path, capsys):
+        argv = ["pack", str(tmp_path / "missing.bin"), str(tmp_path / "out.bin"), "--fmt", "e2m3"]
+        self._expect_config_error(argv + (["--unpack"] if unpack else []), capsys, "missing.bin")
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_pes", "4"), ("array_x", 2.0), ("reg_width", True), ("wgt_glb_mb", "2"),
+    ])
+    def test_machine_value_types(self, key, value, tmp_path, capsys):
+        machine = {"name": "tiny", "num_pes": 4, "array_x": 2, "array_y": 2,
+                   "wgt_glb_mb": 1, "act_out_glb_mb": 1, "noc_w_gbps": 8,
+                   "noc_a_gbps": 8, "offchip_gbps": 4}
+        machine[key] = value
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(machine))
+        self._expect_config_error(
+            ["run", "--machine", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, f"{key} must be",
+        )
 
     def _expect_config_error(self, argv, capsys, needle):
         assert main(argv) == 2

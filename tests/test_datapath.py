@@ -17,8 +17,11 @@ from anyprec.codec import (
     mx_dot_ref,
     parse_format,
 )
-from anyprec.control import PEConfig, compile_bundle, compile_reduction_tree
+from anyprec.codec import Kind
+from anyprec.control import PEConfig, compile_bundle, compile_exp_adder, compile_reduction_tree
 from anyprec.datapath import (
+    TileStats,
+    _group_reduce,
     accumulate,
     apply_implicit_one,
     concat_shift,
@@ -35,7 +38,8 @@ from anyprec.datapath import (
     products_to_words,
 )
 from anyprec.errors import ShapeError
-from anyprec.validate import sweep_pair
+from anyprec.validate import float_formats, sweep_pair
+from anyprec.workloads import DEFAULT_SWEEP_PAIRS
 
 FP6 = parse_format("e2m3")
 FP5 = parse_format("e2m2")
@@ -114,6 +118,45 @@ class TestSegmentedAdd:
         # max 3-bit exponents everywhere: sums stay independent
         sums = self._add([7] * 10, [7] * 10, 3)
         assert sums == [14] * 10
+
+    @staticmethod
+    def _ripple_reference(x, y, breaks):
+        # plain per-bit ripple over the whole width
+        out = np.zeros_like(x)
+        carry = np.zeros(x.shape[:-1], dtype=np.int8)
+        for i in range(x.shape[-1]):
+            s = x[..., i] + y[..., i] + carry
+            out[..., i] = s & 1
+            carry = s >> 1
+            if breaks[i]:
+                carry = np.zeros_like(carry)
+        return out
+
+    def test_every_compiled_mask_matches_per_bit_ripple(self):
+        masks = {
+            tuple(compile_exp_adder(fa, fw, PEConfig())[0])
+            for fa in float_formats(12)
+            for fw in float_formats(12)
+        }
+        seg_lengths = {m.index(1) + 1 for m in masks if 1 in m}
+        # seg 5 and 7 do not divide 144, so the trailing partial segment runs
+        assert {5, 7} <= seg_lengths and 144 % 5 and 144 % 7
+        rng = np.random.default_rng(8)
+        for breaks in sorted(masks):
+            x = rng.integers(0, 2, size=(3, 5, 144), dtype=np.int8)
+            y = rng.integers(0, 2, size=(3, 5, 144), dtype=np.int8)
+            got = segmented_add(x, y, list(breaks))
+            assert np.array_equal(got, self._ripple_reference(x, y, breaks)), breaks
+
+    def test_irregular_masks_match_per_bit_ripple(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            breaks = rng.integers(0, 2, size=40).tolist()
+            x = rng.integers(0, 2, size=(7, 40), dtype=np.int8)
+            y = rng.integers(0, 2, size=(7, 40), dtype=np.int8)
+            assert np.array_equal(
+                segmented_add(x, y, breaks), self._ripple_reference(x, y, breaks)
+            )
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_matches_scalar_addition(self, width):
@@ -426,6 +469,90 @@ class TestMacTile:
             ww2 = [ww[i] for i in order]
             perm, _ = pe_mac_tile(make_buf(aw2, FP6), make_buf(ww2, FP6), 1, 1, k, bundle, FP8)
             assert perm.words() == base.words()
+
+
+def _mac_tile_per_load(a_tile, w_tile, m, n, k, bundle, out_fmt, mx_scales):
+    """Reference pe_mac_tile: one run_cross_products call per register
+    load, in (kk, m0, n0) order, ragged blocks loaded short."""
+    aw, ww = a_tile.words(), w_tile.words()
+    stats = TileStats()
+    per_out = {(i, j): [] for i in range(m) for j in range(n)}
+    for kk in range(k):
+        for m0 in range(0, m, bundle.n_acts):
+            ma = min(bundle.n_acts, m - m0)
+            col = [aw[(m0 + mi) * k + kk] for mi in range(ma)]
+            for n0 in range(0, n, bundle.n_wgts):
+                nw = min(bundle.n_wgts, n - n0)
+                row = [ww[kk * n + (n0 + nj)] for nj in range(nw)]
+                raw = run_cross_products(
+                    bundle, np.asarray([col], dtype=np.int64), np.asarray([row], dtype=np.int64)
+                )
+                for mi in range(ma):
+                    for nj in range(nw):
+                        o = raw.op_index(mi, nj)
+                        if bool(raw.zero[0, o]):
+                            continue
+                        per_out[(m0 + mi, n0 + nj)].append(
+                            (int(raw.sign[0, o]), int(raw.sig[0, o]), int(raw.exp_sum[0, o]))
+                        )
+    scale = ExactNumber(0, 1, 0)
+    if mx_scales is not None:
+        scale = mx_scales[0].to_exact().mul(mx_scales[1].to_exact())
+    group = bundle.cst.lanes_per_pass
+    words = []
+    for i in range(m):
+        for j in range(n):
+            prods = per_out[(i, j)]
+            acc = ExactNumber.zero()
+            for g0 in range(0, len(prods), group):
+                acc = acc.add(_group_reduce(prods[g0 : g0 + group], bundle, stats))
+            acc = acc.mul(scale)
+            out = encode(acc, out_fmt)
+            if not acc.is_zero and out_fmt.kind is Kind.FLOAT:
+                if (
+                    out.exp_field == out_fmt.exp_max
+                    and out.man_field == out_fmt.man_max
+                    and abs(acc.to_fraction()) > abs(out.to_fraction())
+                ):
+                    stats.saturations += 1
+            words.append(out.word())
+    return words, stats
+
+
+class TestMacTileBatched:
+    """The one-batch tile equals the per-load loop word for word."""
+
+    PAIRS = tuple(DEFAULT_SWEEP_PAIRS) + ("int4:int4", "int8:int3")
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_matches_per_load_loop(self, pair):
+        fa, fw = (parse_format(t) for t in pair.split(":"))
+        is_float = fa.kind is Kind.FLOAT
+        out_fmt = parse_format("e5m10" if is_float else "int16")
+        bundle = compile_bundle(fa, fw, out_fmt)
+        rng = random.Random(pair)
+        sf = parse_format("e8m0")
+        # m, n one past a multiple of the capacity leave a ragged block
+        shapes = [(bundle.n_acts + 1, bundle.n_wgts + 1, 5), (1, 3, 12), (2 * bundle.n_acts + 3, 2, 1)]
+        for m, n, k in shapes:
+            for with_mx in (False, True) if is_float else (False,):
+                aw = [rng.randrange(1 << fa.total_bits) for _ in range(m * k)]
+                ww = [rng.randrange(1 << fw.total_bits) for _ in range(k * n)]
+                mx = None
+                if with_mx:
+                    mx = tuple(decode(sf.bias_value + rng.randrange(-4, 5), sf) for _ in range(2))
+                a_buf, w_buf = make_buf(aw, fa), make_buf(ww, fw)
+                tile, stats = pe_mac_tile(a_buf, w_buf, m, n, k, bundle, out_fmt, mx)
+                want, want_stats = _mac_tile_per_load(a_buf, w_buf, m, n, k, bundle, out_fmt, mx)
+                assert tile.words() == want, (m, n, k, with_mx)
+                assert stats == want_stats, (m, n, k, with_mx)
+
+    def test_empty_dimensions(self):
+        bundle = compile_bundle(FP6, FP6, FP6)
+        tile, stats = pe_mac_tile(make_buf([], FP6), make_buf([], FP6), 2, 3, 0, bundle)
+        assert tile.words() == [0] * 6 and stats == TileStats()
+        tile, _ = pe_mac_tile(make_buf([], FP6), make_buf([1, 2], FP6), 0, 1, 2, bundle)
+        assert tile.words() == []
 
 
 def _to_exact(frac: Fraction) -> ExactNumber:
