@@ -65,6 +65,11 @@ def load_energy_table(source) -> EnergyTable:
             if not ref.is_file():
                 raise ConfigError(f"unknown energy table {name!r}")
             raw = json.loads(ref.read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"energy table {name!r} is not a JSON object")
+        for key, value in raw.items():
+            if key.endswith("_pj") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ConfigError(f"energy table {name!r}: {key} must be a number, got {value!r}")
         return EnergyTable(
             provenance=raw["provenance"],
             prim_and_pj=raw["prim_and_pj"],

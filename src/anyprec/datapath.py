@@ -141,7 +141,7 @@ def run_reduction_tree(prim_reg, bundle: ControlBundle) -> list:
     prim = np.asarray(prim_reg)
     if prim.shape[-1] < plan.leaf_count:
         raise ControlError("primitive register narrower than the tree plan")
-    leaves = [prim[..., k].astype(np.int64) for k in range(plan.leaf_count)]
+    leaves = list(np.moveaxis(prim[..., : plan.leaf_count], -1, 0).astype(np.int64, order="C"))
     return plan.evaluate(leaves)
 
 

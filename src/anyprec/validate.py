@@ -75,6 +75,25 @@ def _operand_grids(fmt: FormatSpec, exhaustive: bool, samples: int, rng: random.
     return np.asarray([rng.randrange(1 << fmt.total_bits) for _ in range(samples)], dtype=np.int64)
 
 
+def _cross_rows(grid_a: np.ndarray, grid_w: np.ndarray, na: int, nw: int):
+    """Register rows for every (chunk_a, chunk_w) combination, chunk_a
+    outermost. Each grid is cut into chunks of na / nw words, the last one
+    zero-padded; mask[r, o] marks the products whose operands both come
+    from the grids (operation o pairs slot o % na with slot o // na)."""
+
+    def chunks(grid, n):
+        k = -(-len(grid) // n)
+        words = np.zeros(k * n, dtype=np.int64)
+        words[: len(grid)] = grid
+        return k, words.reshape(k, n), (np.arange(k * n) < len(grid)).reshape(k, n)
+
+    k_a, pad_a, valid_a = chunks(grid_a, na)
+    k_w, pad_w, valid_w = chunks(grid_w, nw)
+    ops = np.arange(na * nw)
+    mask = np.repeat(valid_a[:, ops % na], k_w, axis=0) & np.tile(valid_w[:, ops // na], (k_a, 1))
+    return np.repeat(pad_a, k_w, axis=0), np.tile(pad_w, (k_a, 1)), mask
+
+
 def sweep_pair(
     fmt_a: FormatSpec,
     fmt_w: FormatSpec,
@@ -100,21 +119,9 @@ def sweep_pair(
     grid_w = _operand_grids(fmt_w, exhaustive, per_side, rng)
 
     na, nw = bundle.n_acts, bundle.n_wgts
-    chunks_a = [grid_a[i : i + na] for i in range(0, len(grid_a), na)]
-    chunks_w = [grid_w[i : i + nw] for i in range(0, len(grid_w), nw)]
-    # batch rows = all (chunk_a, chunk_w) combinations
-    rows_a = np.zeros((len(chunks_a) * len(chunks_w), na), dtype=np.int64)
-    rows_w = np.zeros((len(chunks_a) * len(chunks_w), nw), dtype=np.int64)
-    mask = np.zeros((len(chunks_a) * len(chunks_w), na * nw), dtype=bool)
     a_of = np.arange(na * nw) % na
     w_of = np.arange(na * nw) // na
-    r = 0
-    for ca in chunks_a:
-        for cw in chunks_w:
-            rows_a[r, : len(ca)] = ca
-            rows_w[r, : len(cw)] = cw
-            mask[r] = (a_of < len(ca)) & (w_of < len(cw))
-            r += 1
+    rows_a, rows_w, mask = _cross_rows(grid_a, grid_w, na, nw)
 
     raw = run_cross_products(bundle, rows_a, rows_w)
     got = products_to_words(raw, bundle, out_fmt)

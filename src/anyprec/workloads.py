@@ -33,7 +33,7 @@ class ModelSpec:
     precision_plan: dict = field(default_factory=dict)  # layer class -> (fmtA, fmtW)
 
     def __post_init__(self):
-        if min(self.seq_len, self.num_layers, self.d_model, self.d_ff) < 1:
+        if min(self.seq_len, self.num_layers, self.d_model, self.d_ff, self.head_dim) < 1:
             raise ConfigError(f"{self.name}: dimensions must be positive")
         if self.d_model % self.head_dim:
             raise ConfigError(f"{self.name}: d_model not divisible by head_dim")
@@ -41,6 +41,12 @@ class ModelSpec:
     @property
     def heads(self) -> int:
         return self.d_model // self.head_dim
+
+
+_MODEL_KEY_TYPES = {
+    "name": str,
+    **dict.fromkeys(("seq_len", "num_layers", "d_model", "d_ff", "head_dim"), int),
+}
 
 
 def load_model(source) -> ModelSpec:
@@ -56,6 +62,13 @@ def load_model(source) -> ModelSpec:
             if not ref.is_file():
                 raise ConfigError(f"unknown model {name!r}")
             raw = json.loads(ref.read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"model config {name!r} is not a JSON object")
+        for key, value in raw.items():
+            kind = _MODEL_KEY_TYPES.get(key)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                expected = "an integer" if kind is int else "a string"
+                raise ConfigError(f"model config {name!r}: {key} must be {expected}, got {value!r}")
         return ModelSpec(
             name=raw["name"],
             seq_len=raw["seq_len"],

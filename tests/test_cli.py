@@ -1,5 +1,6 @@
 """CLI subcommands: validation sweeps, run determinism, file packing."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from anyprec import archsim
 from anyprec.bitpack import read_packed_file
 from anyprec.cli import RunManifest, cmd_run, cmd_validate, main
+from anyprec.cost import load_energy_table
 from anyprec.workloads import DEFAULT_SWEEP_PAIRS
 
 
@@ -181,6 +183,39 @@ class TestBadInput:
         self._expect_config_error(
             ["run", "--machine", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
             capsys, f"{key} must be",
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_layers", "2"), ("d_model", 768.0), ("head_dim", True), ("name", 7), ("head_dim", 0),
+    ])
+    def test_model_values(self, key, value, tmp_path, capsys):
+        model = {"name": "tiny", "seq_len": 128, "num_layers": 2, "d_model": 768, "d_ff": 3072}
+        model[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        self._expect_config_error(
+            ["run", "--models", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, f"{key} must be" if value else "must be positive",
+        )
+
+    @pytest.mark.parametrize("key, value", [("dram_pj", "6.0"), ("noc_pj", None), ("sram_rd_pj", False)])
+    def test_energy_value_types(self, key, value, tmp_path, capsys):
+        table = dataclasses.asdict(load_energy_table("default_synthetic"))
+        table[key] = value
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(table))
+        self._expect_config_error(
+            ["run", "--energy-table", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, f"{key} must be a number",
+        )
+
+    @pytest.mark.parametrize("flag", ["--machine", "--models", "--energy-table"])
+    def test_config_not_an_object(self, flag, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self._expect_config_error(
+            ["run", flag, str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, "is not a JSON object",
         )
 
     def _expect_config_error(self, argv, capsys, needle):

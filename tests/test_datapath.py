@@ -38,7 +38,7 @@ from anyprec.datapath import (
     products_to_words,
 )
 from anyprec.errors import ShapeError
-from anyprec.validate import float_formats, sweep_pair
+from anyprec.validate import _cross_rows, _operand_grids, float_formats, sweep_pair
 from anyprec.workloads import DEFAULT_SWEEP_PAIRS
 
 FP6 = parse_format("e2m3")
@@ -185,6 +185,60 @@ class TestSeparateInverse:
                 sum(int(b) << (2 - t) for t, b in enumerate(regs.act_man[0, 3 * k : 3 * k + 3]))
             )
             assert (sign << 6) | (exp << 3) | man == w
+
+
+def _cross_rows_loop(grid_a, grid_w, na, nw):
+    """Reference row builder: one (chunk_a, chunk_w) row at a time."""
+    chunks_a = [grid_a[i : i + na] for i in range(0, len(grid_a), na)]
+    chunks_w = [grid_w[i : i + nw] for i in range(0, len(grid_w), nw)]
+    rows_a = np.zeros((len(chunks_a) * len(chunks_w), na), dtype=np.int64)
+    rows_w = np.zeros((len(chunks_a) * len(chunks_w), nw), dtype=np.int64)
+    mask = np.zeros((len(chunks_a) * len(chunks_w), na * nw), dtype=bool)
+    a_of = np.arange(na * nw) % na
+    w_of = np.arange(na * nw) // na
+    r = 0
+    for ca in chunks_a:
+        for cw in chunks_w:
+            rows_a[r, : len(ca)] = ca
+            rows_w[r, : len(cw)] = cw
+            mask[r] = (a_of < len(ca)) & (w_of < len(cw))
+            r += 1
+    return rows_a, rows_w, mask
+
+
+class TestCrossRows:
+    def _check(self, grid_a, grid_w, na, nw):
+        grid_a, grid_w = np.asarray(grid_a, dtype=np.int64), np.asarray(grid_w, dtype=np.int64)
+        got = _cross_rows(grid_a, grid_w, na, nw)
+        want = _cross_rows_loop(grid_a, grid_w, na, nw)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("len_a, len_w, na, nw", [
+        (12, 8, 3, 2),      # both whole multiples
+        (13, 9, 3, 2),      # both ragged
+        (12, 9, 4, 3),      # one ragged
+        (1, 1, 3, 2),       # one-element grids
+        (1, 7, 1, 1),
+        (5, 1, 2, 4),
+    ])
+    def test_matches_loop(self, len_a, len_w, na, nw):
+        rng = random.Random(len_a * 100 + len_w)
+        self._check([rng.randrange(256) for _ in range(len_a)],
+                    [rng.randrange(256) for _ in range(len_w)], na, nw)
+
+    @pytest.mark.parametrize("fa, fw, exhaustive", [
+        ("e4m3", "e2m3", True), ("e4m3", "e2m3", False), ("e5m2", "e3m1", True), ("e3m8", "e6m5", False),
+    ])
+    def test_sweep_grid_sizes(self, fa, fw, exhaustive):
+        fa, fw = parse_format(fa), parse_format(fw)
+        bundle = compile_bundle(fa, fw, fa)
+        rng = random.Random(3)
+        per_side = int(10_000 ** 0.5) + 1
+        grid_a = _operand_grids(fa, exhaustive, per_side, rng)
+        grid_w = _operand_grids(fw, exhaustive, per_side, rng)
+        self._check(grid_a, grid_w, bundle.n_acts, bundle.n_wgts)
 
 
 class TestPeMultiply:
