@@ -466,9 +466,16 @@ def load_machine(source) -> AcceleratorConfig:
             raise ConfigError(f"machine config {name!r} is not a JSON object")
         for key, value in raw.items():
             kind = _MACHINE_KEY_TYPES.get(key)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            if kind is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
                 expected = "an integer" if kind is int else "a number"
                 raise ConfigError(f"machine config {name!r}: {key} must be {expected}, got {value!r}")
+            # every size, rate and count divides something; only the
+            # reconfiguration cost may be zero
+            if not (value >= 0 if key == "reconfig_cycles" else value > 0):
+                bound = ">= 0" if key == "reconfig_cycles" else "> 0"
+                raise ConfigError(f"machine config {name!r}: {key} must be {bound}, got {value!r}")
         return AcceleratorConfig(
             name=raw["name"],
             num_pes=raw["num_pes"],

@@ -11,50 +11,81 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
-from .bits import BitVector
 from .codec import FormatSpec, Kind, decode
 from .errors import FormatError
 
 _HEADER = struct.Struct("<4sBBBBQH")
 _MAGIC = b"FXBP"
 _VERSION = 1
+_JOIN_CHUNK = 1 << 16
 
 
 @dataclass
 class PackedBuffer:
     """Back-to-back encoded scalars: element k occupies bits
-    [start_bit + k*P, start_bit + (k+1)*P)."""
+    [start_bit + k*P, start_bit + (k+1)*P) of an nbits-long bit string.
 
-    bits: BitVector
+    Bit k of the string lives in payload byte k//8 at bit position 7 - k%8
+    (MSB first), so the payload reads left to right in string order. The
+    bits after nbits in the last byte are always zero, so equal buffers
+    have equal payloads.
+    """
+
+    payload: bytes
+    nbits: int
     elem_count: int
     fmt: FormatSpec
     start_bit: int = 0
 
     def __post_init__(self):
+        if self.start_bit < 0:
+            raise FormatError("start_bit must be >= 0")
         need = self.start_bit + self.elem_count * self.fmt.total_bits
-        if len(self.bits) < need:
-            raise FormatError(f"buffer holds {len(self.bits)} bits, needs {need}")
-
-    def word(self, k: int) -> int:
-        if not 0 <= k < self.elem_count:
-            raise IndexError(k)
-        p = self.fmt.total_bits
-        return self.bits.read_word(self.start_bit + k * p, p)
+        if self.nbits < need:
+            raise FormatError(f"buffer holds {self.nbits} bits, needs {need}")
+        if len(self.payload) != (self.nbits + 7) // 8:
+            raise FormatError(
+                f"payload of {len(self.payload)} bytes does not hold exactly {self.nbits} bits"
+            )
+        extra = -self.nbits % 8
+        if extra and self.payload[-1] & ((1 << extra) - 1):
+            self.payload = self.payload[:-1] + bytes([self.payload[-1] & (0xFF << extra) & 0xFF])
 
     def words(self) -> list[int]:
-        return [self.word(k) for k in range(self.elem_count)]
+        p = self.fmt.total_bits
+        s = f"{int.from_bytes(self.payload, 'big'):0{8 * len(self.payload)}b}"
+        lo = self.start_bit
+        return [int(s[i : i + p], 2) for i in range(lo, lo + self.elem_count * p, p)]
 
     def decode_all(self):
         return [decode(w, self.fmt) for w in self.words()]
 
     @classmethod
     def from_words(cls, words, fmt: FormatSpec, start_bit: int = 0) -> "PackedBuffer":
-        words = [int(w) for w in words]
-        bv = BitVector(start_bit)
-        for w in words:
-            bv.append_word(w, fmt.total_bits)
-        return cls(bv, len(words), fmt, start_bit)
+        """Words back to back after start_bit zero bits, each as its P bits
+        MSB first; a word that does not fit in P bits is rejected."""
+        words = list(words)
+        p = fmt.total_bits
+        spec = f"0{p}b"
+        lead = "0" * start_bit
+        nbits = len(lead) + len(words) * p
+        pad = "0" * (-nbits % 8)
+        # joined a chunk at a time, so at most _JOIN_CHUNK per-word strings
+        # are alive at once
+        bits = "".join([
+            lead,
+            *("".join(map(format, words[i : i + _JOIN_CHUNK], repeat(spec)))
+              for i in range(0, len(words), _JOIN_CHUNK)),
+            pad,
+        ])
+        if len(bits) != nbits + len(pad) or "-" in bits:
+            bad = next(w for w in words if w < 0 or w >> p)
+            raise FormatError(f"word {bad} does not fit in {p} bits")
+        # str <-> int conversion in base 2 is linear in the length in CPython
+        payload = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+        return cls(payload, nbits, len(words), fmt, start_bit)
 
 
 @dataclass
@@ -97,19 +128,9 @@ def packed_index(i: int, container: int, precision: int, start_idx: int = 0) -> 
 
 
 def pack(stream: PaddedStream, start_idx: int = 0) -> PackedBuffer:
-    """Drop container padding, concatenating elements back to back."""
-    if start_idx < 0:
-        raise FormatError("start_idx must be >= 0")
-    p = stream.fmt.total_bits
-    c = stream.container_bits
-    out = BitVector(start_idx + len(stream.words) * p)
-    for k, word in enumerate(stream.words):
-        for t in range(c):
-            i = k * c + t
-            if i % c < p:  # useful bit; padding is dropped
-                j = packed_index(i, c, p, start_idx)
-                out.set(j, (word >> (c - 1 - t)) & 1)
-    return PackedBuffer(out, len(stream.words), stream.fmt, start_idx)
+    """Drop container padding, concatenating elements back to back; the
+    result places every useful input bit i at packed_index(i, ...)."""
+    return PackedBuffer.from_words(stream.element_words(), stream.fmt, start_idx)
 
 
 def pack_into(buf: PackedBuffer, stream: PaddedStream) -> PackedBuffer:
@@ -122,14 +143,13 @@ def pack_into(buf: PackedBuffer, stream: PaddedStream) -> PackedBuffer:
         raise FormatError("appending a stream of a different format")
     carry = buf.start_bit + buf.elem_count * buf.fmt.total_bits
     tail = pack(stream, carry)
-    merged = BitVector(len(tail.bits))
-    for i in range(len(buf.bits)):
-        merged.set(i, buf.bits.get(i))
-    for k in range(tail.elem_count):
-        p = buf.fmt.total_bits
-        for t in range(p):
-            merged.set(carry + k * p + t, tail.bits.get(carry + k * p + t))
-    return PackedBuffer(merged, buf.elem_count + tail.elem_count, buf.fmt, buf.start_bit)
+    # the tail's first `carry` bits are zero: fill them with buf's
+    head = int.from_bytes(buf.payload, "big") >> (8 * len(buf.payload) - carry)
+    n = len(tail.payload)
+    payload = (int.from_bytes(tail.payload, "big") | head << (8 * n - carry)).to_bytes(n, "big")
+    return PackedBuffer(
+        payload, tail.nbits, buf.elem_count + tail.elem_count, buf.fmt, buf.start_bit
+    )
 
 
 def unpack(buf: PackedBuffer, container_bits: int) -> PaddedStream:
@@ -161,7 +181,7 @@ def write_packed_file(path, buf: PackedBuffer) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(buf.bits.to_bytes())
+        fh.write(buf.payload)
 
 
 def read_packed_file(path) -> PackedBuffer:
@@ -181,7 +201,4 @@ def read_packed_file(path) -> PackedBuffer:
     else:
         raise FormatError(f"unknown kind byte {kind}")
     nbits = start_bit + elem_count * fmt.total_bits
-    payload = raw[_HEADER.size :]
-    if len(payload) != (nbits + 7) // 8:
-        raise FormatError("payload length does not match header")
-    return PackedBuffer(BitVector.from_bytes(payload, nbits), elem_count, fmt, start_bit)
+    return PackedBuffer(raw[_HEADER.size :], nbits, elem_count, fmt, start_bit)

@@ -51,6 +51,10 @@ class EnergyTable:
         return num_pes * self.pe_area_mm2() + self.glb_mm2 + self.noc_mm2 + self.bpu_mm2
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_energy_table(source) -> EnergyTable:
     """Load a table from a JSON file path or the name of a shipped table."""
     if isinstance(source, EnergyTable):
@@ -68,8 +72,17 @@ def load_energy_table(source) -> EnergyTable:
         if not isinstance(raw, dict):
             raise ConfigError(f"energy table {name!r} is not a JSON object")
         for key, value in raw.items():
-            if key.endswith("_pj") and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            numeric = key.endswith("_pj") or key in ("glb_mm2", "noc_mm2", "bpu_mm2") or (
+                key == "area_override_mm2" and value is not None
+            )
+            if numeric and not _is_number(value):
                 raise ConfigError(f"energy table {name!r}: {key} must be a number, got {value!r}")
+            if key == "pe_mm2" and not (
+                isinstance(value, dict) and all(map(_is_number, value.values()))
+            ):
+                raise ConfigError(
+                    f"energy table {name!r}: pe_mm2 must map names to numbers, got {value!r}"
+                )
         return EnergyTable(
             provenance=raw["provenance"],
             prim_and_pj=raw["prim_and_pj"],

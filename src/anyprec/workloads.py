@@ -154,8 +154,10 @@ def precision_sweep(
 ) -> list[tuple[str, str, list[GemmWorkload]]]:
     """Cross product of the model's GEMMs with precision pairs, stable
     ordering. Pairs may be FormatSpec tuples or "actfmt:wgtfmt" strings;
-    invalid pairs are skipped with a warning."""
+    invalid pairs are skipped with a warning, but rejecting every pair
+    given is a ConfigError."""
     out = []
+    rejected = []
     for pair in pairs:
         try:
             if isinstance(pair, str):
@@ -167,11 +169,14 @@ def precision_sweep(
                 raise FormatError(f"{fa}x{fw} exceeds the register width")
         except (FormatError, ValueError) as exc:
             log.warning("skipping precision pair %r: %s", pair, exc)
+            rejected.append(pair)
             continue
         fmt_o = fa if fmt_o_policy == "act" else parse_format(fmt_o_policy)
         out.append(
             (str(fa), str(fw), expand(model, fa, fw, fmt_o, include_attention))
         )
+    if rejected and not out:
+        raise ConfigError(f"no valid precision pair among {rejected!r}")
     return out
 
 

@@ -17,7 +17,7 @@ from anyprec.bitpack import (
     unpack,
     write_packed_file,
 )
-from anyprec.codec import parse_format
+from anyprec.codec import FormatSpec, Kind, parse_format
 from anyprec.errors import FormatError
 
 FP6 = parse_format("e2m3")
@@ -44,7 +44,7 @@ def test_fp5_four_elements_is_20_bits():
     words = [0b01001, 0b11111, 0b00001, 0b10101]
     stream = PaddedStream.from_elements(words, FP5, 8)
     buf = pack(stream)
-    assert len(buf.bits) == 20
+    assert buf.nbits == 20
     assert buf.words() == words
     before = [v.to_fraction() for v in stream_decode(stream)]
     after = [v.to_fraction() for v in buf.decode_all()]
@@ -63,13 +63,14 @@ def test_pack_unpack_roundtrip_on_paper_example():
     buf = pack(stream, start_idx=0)
     back = unpack(buf, 8)
     assert back.words == stream.words
-    assert pack(back, buf.start_bit).bits == buf.bits
+    again = pack(back, buf.start_bit)
+    assert (again.payload, again.nbits) == (buf.payload, buf.nbits)
 
 
 def test_empty_roundtrip():
     stream = PaddedStream([], 8, FP6)
     buf = pack(stream)
-    assert buf.elem_count == 0 and len(buf.bits) == 0
+    assert buf.elem_count == 0 and buf.nbits == 0
     assert unpack(buf, 8).words == []
 
 
@@ -78,7 +79,7 @@ def test_random_fp7_roundtrip():
     words = [rng.randrange(1 << 7) for _ in range(1000)]
     stream = PaddedStream.from_elements(words, FP7, 8)
     buf = pack(stream)
-    assert len(buf.bits) == 7000
+    assert buf.nbits == 7000
     assert unpack(buf, 8).words == stream.words
 
 
@@ -91,9 +92,10 @@ def test_roundtrip_property(words, container, start):
     stream = PaddedStream.from_elements(words, FP6, container)
     buf = pack(stream, start)
     assert buf.start_bit == start
-    assert len(buf.bits) == start + 6 * len(words)
+    assert buf.nbits == start + 6 * len(words)
     again = pack(unpack(buf, container), start)
-    assert again.bits == buf.bits and again.elem_count == buf.elem_count
+    assert (again.payload, again.nbits) == (buf.payload, buf.nbits)
+    assert again.elem_count == buf.elem_count
 
 
 def test_chunked_packing_carries_start_idx():
@@ -102,7 +104,8 @@ def test_chunked_packing_carries_start_idx():
     whole = pack(PaddedStream.from_elements(words, FP6, 8))
     first = pack(PaddedStream.from_elements(words[:8], FP6, 8))
     merged = pack_into(first, PaddedStream.from_elements(words[8:], FP6, 8))
-    assert merged.bits == whole.bits and merged.elem_count == 24
+    assert (merged.payload, merged.nbits) == (whole.payload, whole.nbits)
+    assert merged.elem_count == 24
 
 
 def test_container_narrower_than_element_rejected():
@@ -127,7 +130,7 @@ def test_storage_saving_ratio():
     stream = PaddedStream.from_elements(words, FP6, 8)
     buf = pack(stream)
     padded_bits = len(words) * 8
-    assert 1 - len(buf.bits) / padded_bits == pytest.approx(0.25)
+    assert 1 - buf.nbits / padded_bits == pytest.approx(0.25)
 
 
 def test_pack_is_a_bijection_on_useful_bits():
@@ -160,3 +163,98 @@ def test_file_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(FormatError):
         read_packed_file(path)
+
+
+def reference_pack(stream, start):
+    """(payload, nbits) with every useful input bit set one at a time at its
+    packed_index: the written spec that pack() must match."""
+    p, c = stream.fmt.total_bits, stream.container_bits
+    nbits = start + len(stream.words) * p
+    out = bytearray((nbits + 7) // 8)
+    for k, word in enumerate(stream.words):
+        for t in range(p):
+            j = packed_index(k * c + t, c, p, start)
+            if (word >> (c - 1 - t)) & 1:
+                out[j // 8] |= 0x80 >> (j % 8)
+    return bytes(out), nbits
+
+
+def test_pack_matches_index_map_on_c4_shapes():
+    rng = random.Random(4)
+    for e in range(1, 5):
+        for m in range(5):
+            fmt = parse_format(f"e{e}m{m}")
+            for container in (c for c in (8, 12, 16) if c >= fmt.total_bits):
+                for start in range(8):
+                    n = rng.randrange(41)
+                    words = [rng.randrange(1 << fmt.total_bits) for _ in range(n)]
+                    stream = PaddedStream.from_elements(words, fmt, container)
+                    buf = pack(stream, start)
+                    assert (buf.payload, buf.nbits) == reference_pack(stream, start)
+                    assert buf.words() == words
+
+
+@given(
+    data=st.data(),
+    width=st.integers(2, 16),
+    start=st.integers(1, 63),
+)
+def test_pack_into_chain_equals_one_pack(data, width, start):
+    fmt = FormatSpec(Kind.FLOAT, exp_bits=1, man_bits=width - 2)
+    container = data.draw(st.sampled_from([c for c in (8, 16) if c >= width]))
+    words = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=2, max_size=60))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(words) - 1), min_size=1, max_size=3)))
+    bounds = [0, *cuts, len(words)]
+    chunks = [
+        PaddedStream.from_elements(words[a:b], fmt, container) for a, b in zip(bounds, bounds[1:])
+    ]
+    buf = pack(chunks[0], start)
+    for chunk in chunks[1:]:
+        buf = pack_into(buf, chunk)
+    whole = pack(PaddedStream.from_elements(words, fmt, container), start)
+    assert buf == whole
+
+
+def test_wide_format_roundtrip():
+    fmt = parse_format("e20m100")
+    rng = random.Random(20)
+    top = (1 << fmt.total_bits) - 1
+    words = [rng.randrange(top + 1) for _ in range(50)] + [top, 0]
+    stream = PaddedStream.from_elements(words, fmt, 128)
+    buf = pack(stream, 5)
+    assert (buf.payload, buf.nbits) == reference_pack(stream, 5)
+    assert buf.words() == words
+    assert unpack(buf, 128).words == stream.words
+
+
+def test_long_stream_roundtrip():
+    # longer than one internal join chunk of 2**16 words
+    rng = random.Random(70)
+    words = [rng.randrange(1 << 7) for _ in range(70_001)]
+    buf = pack(PaddedStream.from_elements(words, FP7, 8), 3)
+    assert buf.nbits == 3 + 7 * len(words)
+    assert buf.words() == words
+
+
+def test_file_padding_bits_are_cleared(tmp_path):
+    buf = PackedBuffer.from_words([0b101011, 0b010101, 0b111000], FP6, start_bit=1)
+    assert buf.nbits % 8
+    path = tmp_path / "junk.fxbp"
+    write_packed_file(path, buf)
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= (1 << (-buf.nbits % 8)) - 1
+    path.write_bytes(bytes(raw))
+    assert read_packed_file(path) == buf
+
+
+def test_payload_length_must_match_nbits():
+    with pytest.raises(FormatError):
+        PackedBuffer(b"\x00\x00", 6, 1, FP6)
+    with pytest.raises(FormatError):
+        PackedBuffer(b"", 6, 1, FP6)
+
+
+@pytest.mark.parametrize("word", [1 << 6, -1])
+def test_from_words_rejects_word_wider_than_p(word):
+    with pytest.raises(FormatError):
+        PackedBuffer.from_words([0, word], FP6)

@@ -186,6 +186,22 @@ class TestBadInput:
         )
 
     @pytest.mark.parametrize("key, value", [
+        ("clock_ghz", 0), ("offchip_gbps", 0), ("reg_width", 0), ("noc_w_gbps", -1),
+        ("wgt_glb_mb", 0), ("num_pes", 0), ("reconfig_cycles", -5),
+    ])
+    def test_machine_value_ranges(self, key, value, tmp_path, capsys):
+        self.test_machine_value_types(key, value, tmp_path, capsys)
+
+    def test_every_pair_rejected(self, tmp_path, capsys):
+        code = main(["run", "--pairs", "bogus:e2m3,x:y", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: no valid precision pair among ['bogus:e2m3', 'x:y']"
+        ]
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("num_layers", "2"), ("d_model", 768.0), ("head_dim", True), ("name", 7), ("head_dim", 0),
     ])
     def test_model_values(self, key, value, tmp_path, capsys):
@@ -196,6 +212,23 @@ class TestBadInput:
         self._expect_config_error(
             ["run", "--models", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
             capsys, f"{key} must be" if value else "must be positive",
+        )
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("glb_mm2", "2.8", "glb_mm2 must be a number"),
+        ("bpu_mm2", None, "bpu_mm2 must be a number"),
+        ("area_override_mm2", "1", "area_override_mm2 must be a number"),
+        ("pe_mm2", {"separator": "x"}, "pe_mm2 must map names to numbers"),
+        ("pe_mm2", [0.1], "pe_mm2 must map names to numbers"),
+    ])
+    def test_energy_area_types(self, key, value, needle, tmp_path, capsys):
+        table = dataclasses.asdict(load_energy_table("default_synthetic"))
+        table[key] = value
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(table))
+        self._expect_config_error(
+            ["run", "--energy-table", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, needle,
         )
 
     @pytest.mark.parametrize("key, value", [("dram_pj", "6.0"), ("noc_pj", None), ("sram_rd_pj", False)])
