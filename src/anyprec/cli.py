@@ -47,8 +47,9 @@ class RunManifest:
     include_attention: bool = True
 
     def describe(self) -> str:
+        models = ",".join(getattr(m, "name", m) for m in self.models)
         return (
-            f"machine={self.machine} models={','.join(self.models)} "
+            f"machine={self.machine} models={models} "
             f"pairs={','.join(self.pairs)} dataflow={self.dataflow} "
             f"energy={self.energy_table} seed={self.seed}"
         )
