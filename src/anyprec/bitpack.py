@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import or_
 
 from .codec import FormatSpec, Kind, decode
 from .errors import FormatError
 
 _HEADER = struct.Struct("<4sBBBBQH")
+MAX_START_BIT = 0xFFFF  # the header's start bit is an unsigned 16-bit field
 _MAGIC = b"FXBP"
 _VERSION = 1
 _JOIN_CHUNK = 1 << 16
@@ -101,12 +104,14 @@ class PaddedStream:
             raise FormatError(
                 f"container {self.container_bits} < element width {self.fmt.total_bits}"
             )
-        pad = self.container_bits - self.fmt.total_bits
-        for w in self.words:
-            if w < 0 or w >> self.container_bits:
-                raise FormatError("container word out of range")
-            if w & ((1 << pad) - 1):
-                raise FormatError("padding bits must be zero")
+        # one OR over the words, iterated in C: it is negative, or has a bit
+        # at or above container_bits or in the padding, exactly when some
+        # word has
+        bits = reduce(or_, self.words, 0)
+        if bits < 0 or bits >> self.container_bits:
+            raise FormatError("container word out of range")
+        if bits & ((1 << (self.container_bits - self.fmt.total_bits)) - 1):
+            raise FormatError("padding bits must be zero")
 
     def element_words(self) -> list[int]:
         pad = self.container_bits - self.fmt.total_bits
@@ -174,6 +179,10 @@ def metadata(buf: PackedBuffer) -> dict:
 def write_packed_file(path, buf: PackedBuffer) -> None:
     """Serialize with the little-endian FXBP header followed by the raw bit
     payload, padded to a whole byte at the end only."""
+    if not 0 <= buf.start_bit <= MAX_START_BIT:
+        raise FormatError(
+            f"start bit {buf.start_bit} does not fit the FXBP header (at most {MAX_START_BIT})"
+        )
     fmt = buf.fmt
     kind = 0 if fmt.kind is Kind.FLOAT else (1 if fmt.signed else 2)
     header = _HEADER.pack(

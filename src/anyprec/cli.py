@@ -1,10 +1,11 @@
 """Command-line front end: validate, run, pack, ablate.
 
 Exit codes: 0 success, 1 validation mismatch, 2 configuration error.
-`run` and `ablate` simulate and format each distinct GEMM point (dims and
-formats) once and expand it to every layer that repeats it; rows are
-canonically ordered before writing. `--jobs` is accepted for compatibility
-but has no effect: the sweep runs on one thread.
+`run` and `ablate` expand each (model, pair, layer class) once, simulate
+and format each distinct GEMM point (dims and formats) once, and give its
+rows to every layer of the model; rows are canonically ordered before
+writing. `--jobs` is accepted for compatibility but has no effect: the
+sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import archsim, bitpack, cost, validate, workloads
 from .codec import parse_format
@@ -63,21 +64,33 @@ def _fmt_num(x) -> str:
 
 def _sweep(manifest: RunManifest, evaluate) -> list:
     """(model name, layer label, pair, evaluate(g)) for every GEMM point of
-    the manifest's sweep, in sweep order. `evaluate` may depend only on the
-    GEMM's dims and formats, so it runs once per distinct point: every layer
-    of a model repeats the same few layer GEMMs."""
+    the manifest's sweep, grouped by model, pair and layer class. Every
+    layer of a model repeats the same layer-class GEMMs, so the sweep is
+    expanded on a one-layer view of the model and each class's result goes
+    to every layer by label. `evaluate` may depend only on the GEMM's dims
+    and formats, so it runs once per distinct point."""
     done = {}
     out = []
     for model_name in manifest.models:
         model = workloads.load_model(model_name)
+        one_layer = replace(model, num_layers=1)
+        # the one-layer view's label of each class -> its label in every layer
+        labels = {
+            workloads.layer_label(model, 0, cls): [
+                workloads.layer_label(model, layer, cls) for layer in range(model.num_layers)
+            ]
+            for cls in workloads.LAYER_CLASSES
+        }
         for pa, pw, gemms in workloads.precision_sweep(
-            model, manifest.pairs, include_attention=manifest.include_attention
+            one_layer, manifest.pairs, include_attention=manifest.include_attention
         ):
+            pair = f"{pa}:{pw}"
             for g in gemms:
                 key = (g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o)
                 if key not in done:
                     done[key] = evaluate(g)
-                out.append((model.name, g.label, f"{pa}:{pw}", done[key]))
+                value = done[key]
+                out.extend((model.name, label, pair, value) for label in labels[g.label])
     return out
 
 
@@ -252,6 +265,9 @@ def cmd_validate(scope: str, max_bits: int, samples: int, seed: int, stdout=None
     return 1 if failures else 0
 
 
+_WRITE_CHUNK = 1 << 16  # container words per write in `pack --unpack`
+
+
 def cmd_pack(args) -> int:
     fmt = parse_format(args.fmt)
     if args.container % 8:
@@ -261,9 +277,13 @@ def cmd_pack(args) -> int:
         if args.unpack:
             buf = bitpack.read_packed_file(args.input)
             stream = bitpack.unpack(buf, args.container)
+            words = stream.words
             with open(args.output, "wb") as fh:
-                for w in stream.words:
-                    fh.write(w.to_bytes(cbytes, "big"))
+                # one bytes object per word for the whole stream would cost
+                # about 120 bytes of memory per word, so join a chunk at a time
+                for i in range(0, len(words), _WRITE_CHUNK):
+                    chunk = words[i : i + _WRITE_CHUNK]
+                    fh.write(b"".join([w.to_bytes(cbytes, "big") for w in chunk]))
         else:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
@@ -335,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("output")
     k.add_argument("--fmt", required=True)
     k.add_argument("--container", type=_int_in(1), default=8)
-    k.add_argument("--start-idx", type=int, default=0)
+    k.add_argument("--start-idx", type=_int_in(0, bitpack.MAX_START_BIT), default=0)
     k.add_argument("--unpack", action="store_true")
     return p
 

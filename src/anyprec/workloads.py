@@ -107,6 +107,11 @@ def layer_gemm_dims(model: ModelSpec, layer_class: str) -> tuple[int, int, int]:
     raise ConfigError(f"unknown layer class {layer_class!r}")
 
 
+def layer_label(model: ModelSpec, layer: int, layer_class: str) -> str:
+    """The label of one (layer, layer class) GEMM, as `expand` gives it."""
+    return f"{model.name}.L{layer:02d}.{layer_class}"
+
+
 def expand(
     model: ModelSpec,
     fmt_a: FormatSpec | None = None,
@@ -129,7 +134,7 @@ def expand(
                 GemmWorkload(
                     m=m, n=n, k=k,
                     fmt_a=fa, fmt_w=fw, fmt_o=fmt_o or fa,
-                    label=f"{model.name}.L{layer:02d}.{cls}",
+                    label=layer_label(model, layer, cls),
                 )
             )
     return out

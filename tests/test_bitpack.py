@@ -258,3 +258,67 @@ def test_payload_length_must_match_nbits():
 def test_from_words_rejects_word_wider_than_p(word):
     with pytest.raises(FormatError):
         PackedBuffer.from_words([0, word], FP6)
+
+
+def stream_fault(words, container, p):
+    """Per-word reference for PaddedStream's check: the message of its
+    fault, a word out of range anywhere before any padding fault."""
+    for w in words:
+        if w < 0 or w >> container:
+            return "container word out of range"
+    for w in words:
+        if w & ((1 << (container - p)) - 1):
+            return "padding bits must be zero"
+    return None
+
+
+@pytest.mark.parametrize("words, container, fault", [
+    ([0, -4], 8, "container word out of range"),
+    ([0, 1 << 8], 8, "container word out of range"),
+    ([1 << 16], 16, "container word out of range"),
+    ([0b100, 0b1], 8, "padding bits must be zero"),
+    ([1 << 10 | 1 << 9], 16, "padding bits must be zero"),
+    ([0b10, 1 << 8], 8, "container word out of range"),
+    ([0b11111100, 0], 8, None),
+    ([0b111111, 0], 6, None),
+])
+def test_padded_stream_faults(words, container, fault):
+    if fault is None:
+        assert PaddedStream(words, container, FP6).words == words
+        return
+    with pytest.raises(FormatError, match=fault):
+        PaddedStream(words, container, FP6)
+
+
+def test_padded_stream_check_matches_per_word_reference():
+    rng = random.Random(17)
+    for _ in range(2000):
+        container = rng.choice([6, 8, 16])
+        fmt = FormatSpec(Kind.FLOAT, exp_bits=2, man_bits=rng.randrange(container - 2))
+        pad = container - fmt.total_bits
+        words = [rng.randrange(1 << fmt.total_bits) << pad for _ in range(rng.randrange(6))]
+        for _ in range(rng.randrange(3)):
+            if words:
+                words[rng.randrange(len(words))] = rng.randrange(-2, 1 << (container + 1))
+        fault = stream_fault(words, container, fmt.total_bits)
+        if fault is None:
+            PaddedStream(words, container, fmt)
+        else:
+            with pytest.raises(FormatError, match=fault):
+                PaddedStream(words, container, fmt)
+
+
+@pytest.mark.parametrize("start", [0, 65535])
+def test_file_start_bit_limits_roundtrip(start, tmp_path):
+    buf = PackedBuffer.from_words([0b101011, 0b010101], FP6, start_bit=start)
+    path = tmp_path / "s.fxbp"
+    write_packed_file(path, buf)
+    assert read_packed_file(path) == buf
+
+
+def test_file_start_bit_beyond_header_field(tmp_path):
+    buf = PackedBuffer.from_words([0b101011], FP6, start_bit=65536)
+    path = tmp_path / "s.fxbp"
+    with pytest.raises(FormatError, match="start bit 65536"):
+        write_packed_file(path, buf)
+    assert not path.exists()

@@ -165,6 +165,17 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_pack_start_idx_beyond_header_field(self, tmp_path, capsys):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"\x00" * 4)
+        out = tmp_path / "out.fxbp"
+        with pytest.raises(SystemExit) as exc:
+            main(["pack", str(src), str(out), "--fmt", "e2m3", "--start-idx", "70000"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be <= 65535, got 70000" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("unpack", [False, True])
     def test_pack_missing_input(self, unpack, tmp_path, capsys):
         argv = ["pack", str(tmp_path / "missing.bin"), str(tmp_path / "out.bin"), "--fmt", "e2m3"]
@@ -318,3 +329,19 @@ class TestPackCommand:
         proc = run_cli(["pack", "--unpack", str(bad), str(out), "--fmt", "e2m3"])
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("container, count", [(8, 70_001), (16, 300), (24, 5)])
+    def test_unpack_file_equals_per_word_write(self, container, count, tmp_path, capsys):
+        # longer than one write chunk of 2**16 words, and multi-byte containers
+        rng = random.Random(container)
+        words = [rng.randrange(64) << (container - 6) for _ in range(count)]
+        cbytes = container // 8
+        src = tmp_path / "src.bin"
+        with open(src, "wb") as fh:
+            for w in words:
+                fh.write(w.to_bytes(cbytes, "big"))
+        packed, back = tmp_path / "data.fxbp", tmp_path / "back.bin"
+        flags = ["--fmt", "e2m3", "--container", str(container)]
+        assert main(["pack", str(src), str(packed), *flags]) == 0
+        assert main(["pack", "--unpack", str(packed), str(back), *flags]) == 0
+        assert back.read_bytes() == src.read_bytes()
