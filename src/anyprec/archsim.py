@@ -11,12 +11,11 @@ with padded storage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .codec import FormatSpec, Kind, parse_format
+from .config import POSITIVE, Key, load_json_config, presets
 from .control import PEConfig
 from .errors import ConfigError
 
@@ -436,13 +435,27 @@ def packing_ablation(
 # --------------------------------------------------------------------------
 
 
-_MACHINE_KEY_TYPES = {
-    **dict.fromkeys(("num_pes", "array_x", "array_y", "reg_width", "reconfig_cycles"), int),
-    **dict.fromkeys(
-        ("wgt_glb_mb", "act_out_glb_mb", "local_buf_kb_per_pe",
-         "noc_w_gbps", "noc_a_gbps", "offchip_gbps", "clock_ghz"),
-        (int, float),
+_MACHINE_SCHEMA = {
+    "name": Key(str),
+    "num_pes": Key(int, lo=1),
+    "array_x": Key(int, lo=1),
+    "array_y": Key(int, lo=1),
+    # the packed register must hold the mantissa and exponent field registers
+    "reg_width": Key(int, required=False, lo=max(PEConfig.man_reg_bits, PEConfig.exp_reg_bits)),
+    # buffers hold at least one byte
+    "wgt_glb_mb": Key(float, lo=2**-20, field="wgt_glb_bytes", convert=lambda mb: int(mb * 2**20)),
+    "act_out_glb_mb": Key(
+        float, lo=2**-20, field="act_out_glb_bytes", convert=lambda mb: int(mb * 2**20)
     ),
+    "local_buf_kb_per_pe": Key(
+        float, required=False, lo=2**-10, field="local_buf_bytes_per_pe",
+        convert=lambda kb: int(kb * 1024),
+    ),
+    **dict.fromkeys(("noc_w_gbps", "noc_a_gbps", "offchip_gbps"), Key(float, lo=POSITIVE)),
+    "clock_ghz": Key(
+        float, required=False, lo=POSITIVE, field="clock_hz", convert=lambda ghz: ghz * 1e9
+    ),
+    "reconfig_cycles": Key(int, required=False),
 }
 
 
@@ -451,52 +464,8 @@ def load_machine(source) -> AcceleratorConfig:
     shipped preset)."""
     if isinstance(source, AcceleratorConfig):
         return source
-    name = str(source)
-    try:
-        if name.endswith(".json"):
-            with open(name) as fh:
-                text = fh.read()
-        else:
-            ref = resources.files("anyprec").joinpath(f"data/machines/{name}.json")
-            if not ref.is_file():
-                raise ConfigError(f"unknown machine {name!r}")
-            text = ref.read_text()
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"machine config {name!r} is not a JSON object")
-        for key, value in raw.items():
-            kind = _MACHINE_KEY_TYPES.get(key)
-            if kind is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                expected = "an integer" if kind is int else "a number"
-                raise ConfigError(f"machine config {name!r}: {key} must be {expected}, got {value!r}")
-            # every size, rate and count divides something; only the
-            # reconfiguration cost may be zero
-            if not (value >= 0 if key == "reconfig_cycles" else value > 0):
-                bound = ">= 0" if key == "reconfig_cycles" else "> 0"
-                raise ConfigError(f"machine config {name!r}: {key} must be {bound}, got {value!r}")
-        return AcceleratorConfig(
-            name=raw["name"],
-            num_pes=raw["num_pes"],
-            array_x=raw["array_x"],
-            array_y=raw["array_y"],
-            reg_width=raw.get("reg_width", 24),
-            wgt_glb_bytes=int(raw["wgt_glb_mb"] * 2**20),
-            act_out_glb_bytes=int(raw["act_out_glb_mb"] * 2**20),
-            local_buf_bytes_per_pe=int(raw.get("local_buf_kb_per_pe", 0.18) * 1024),
-            noc_w_gbps=raw["noc_w_gbps"],
-            noc_a_gbps=raw["noc_a_gbps"],
-            offchip_gbps=raw["offchip_gbps"],
-            clock_hz=raw.get("clock_ghz", 1.0) * 1e9,
-            reconfig_cycles=raw.get("reconfig_cycles", 64),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"machine config {name!r} missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"machine config {name!r}: {exc}") from exc
+    return AcceleratorConfig(**load_json_config("machine config", "machines", source, _MACHINE_SCHEMA))
 
 
 def builtin_machines() -> list[str]:
-    base = resources.files("anyprec").joinpath("data/machines")
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+    return presets("machines")

@@ -63,21 +63,22 @@ def _fmt_num(x) -> str:
 
 
 def _sweep(manifest: RunManifest, evaluate) -> list:
-    """(model name, layer label, pair, evaluate(g)) for every GEMM point of
-    the manifest's sweep, grouped by model, pair and layer class. Every
-    layer of a model repeats the same layer-class GEMMs, so the sweep is
-    expanded on a one-layer view of the model and each class's result goes
-    to every layer by label. `evaluate` may depend only on the GEMM's dims
-    and formats, so it runs once per distinct point."""
+    """(model name, layer such as L00.qkv, pair, evaluate(g)) for every GEMM
+    point of the manifest's sweep, grouped by model, pair and layer class.
+    Every layer of a model repeats the same layer-class GEMMs, so the sweep
+    is expanded on a one-layer view of the model and each class's result
+    goes to every layer by label. `evaluate` may depend only on the GEMM's
+    dims and formats, so it runs once per distinct point."""
     done = {}
     out = []
     for model_name in manifest.models:
         model = workloads.load_model(model_name)
         one_layer = replace(model, num_layers=1)
-        # the one-layer view's label of each class -> its label in every layer
+        skip = len(model.name) + 1
+        # one-layer label of each class -> its layer column (L00.qkv, ...) in every layer
         labels = {
             workloads.layer_label(model, 0, cls): [
-                workloads.layer_label(model, layer, cls) for layer in range(model.num_layers)
+                workloads.layer_label(model, layer, cls)[skip:] for layer in range(model.num_layers)
             ]
             for cls in workloads.LAYER_CLASSES
         }
@@ -143,8 +144,8 @@ def cmd_run(manifest: RunManifest, stdout=None) -> int:
         ",".join(RUN_COLUMNS),
     ]
     total_s = total_e = 0
-    for model_name, label, pair, (tails, flex_s, flex_e) in results:
-        prefix = f"{model_name},{label.split('.', 1)[1]},{pair},"
+    for model_name, layer, pair, (tails, flex_s, flex_e) in results:
+        prefix = f"{model_name},{layer},{pair},"
         lines.extend(prefix + tail for tail in tails)
         total_s += flex_s
         total_e += flex_e
@@ -189,8 +190,8 @@ def cmd_ablate(manifest: RunManifest, stdout=None) -> int:
         return tails
 
     rows = [
-        [model_name, label.split(".", 1)[1], pair, *tail]
-        for model_name, label, pair, tails in _sweep(manifest, evaluate)
+        [model_name, layer, pair, *tail]
+        for model_name, layer, pair, tails in _sweep(manifest, evaluate)
         for tail in tails
     ]
     rows.sort()

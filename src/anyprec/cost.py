@@ -7,12 +7,15 @@ only ratios and directions are meaningful with it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .archsim import SimReport
+from .config import POSITIVE, Key, load_json_config
 from .errors import ConfigError
+
+
+_PJ_ENTRIES = ("prim_and_pj", "tree_node_pj", "exp_add_pj", "sram_rd_pj", "sram_wr_pj",
+               "noc_pj", "dram_pj")
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,7 @@ class EnergyTable:
     def __post_init__(self):
         if not self.provenance:
             raise ConfigError("energy table requires a provenance string")
-        for name in ("prim_and_pj", "tree_node_pj", "exp_add_pj",
-                     "sram_rd_pj", "sram_wr_pj", "noc_pj", "dram_pj"):
+        for name in _PJ_ENTRIES:
             if getattr(self, name) < 0:
                 raise ConfigError(f"energy entry {name} must be >= 0")
 
@@ -51,57 +53,20 @@ class EnergyTable:
         return num_pes * self.pe_area_mm2() + self.glb_mm2 + self.noc_mm2 + self.bpu_mm2
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_ENERGY_SCHEMA = {
+    "provenance": Key(str),
+    **dict.fromkeys(_PJ_ENTRIES, Key(float)),
+    "pe_mm2": Key(dict, required=False),
+    **dict.fromkeys(("glb_mm2", "noc_mm2", "bpu_mm2"), Key(float, required=False)),
+    "area_override_mm2": Key(float, required=False, lo=POSITIVE, nullable=True),
+}
 
 
 def load_energy_table(source) -> EnergyTable:
     """Load a table from a JSON file path or the name of a shipped table."""
     if isinstance(source, EnergyTable):
         return source
-    name = str(source)
-    try:
-        if name.endswith(".json"):
-            with open(name) as fh:
-                raw = json.load(fh)
-        else:
-            ref = resources.files("anyprec").joinpath(f"data/energy/{name}.json")
-            if not ref.is_file():
-                raise ConfigError(f"unknown energy table {name!r}")
-            raw = json.loads(ref.read_text())
-        if not isinstance(raw, dict):
-            raise ConfigError(f"energy table {name!r} is not a JSON object")
-        for key, value in raw.items():
-            numeric = key.endswith("_pj") or key in ("glb_mm2", "noc_mm2", "bpu_mm2") or (
-                key == "area_override_mm2" and value is not None
-            )
-            if numeric and not _is_number(value):
-                raise ConfigError(f"energy table {name!r}: {key} must be a number, got {value!r}")
-            if key == "pe_mm2" and not (
-                isinstance(value, dict) and all(map(_is_number, value.values()))
-            ):
-                raise ConfigError(
-                    f"energy table {name!r}: pe_mm2 must map names to numbers, got {value!r}"
-                )
-        return EnergyTable(
-            provenance=raw["provenance"],
-            prim_and_pj=raw["prim_and_pj"],
-            tree_node_pj=raw["tree_node_pj"],
-            exp_add_pj=raw["exp_add_pj"],
-            sram_rd_pj=raw["sram_rd_pj"],
-            sram_wr_pj=raw["sram_wr_pj"],
-            noc_pj=raw["noc_pj"],
-            dram_pj=raw["dram_pj"],
-            pe_mm2=raw.get("pe_mm2", {}),
-            glb_mm2=raw.get("glb_mm2", 0.0),
-            noc_mm2=raw.get("noc_mm2", 0.0),
-            bpu_mm2=raw.get("bpu_mm2", 0.0),
-            area_override_mm2=raw.get("area_override_mm2"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"energy table missing entry {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"energy table {name!r}: {exc}") from exc
+    return EnergyTable(**load_json_config("energy table", "energy", source, _ENERGY_SCHEMA))
 
 
 _PJ = 1e-12

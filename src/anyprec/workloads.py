@@ -8,13 +8,12 @@ matrices. Head count defaults to d_model / 64.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .archsim import GemmWorkload
 from .codec import FormatSpec, parse_format
+from .config import Key, load_json_config, presets
 from .errors import ConfigError, FormatError
 
 log = logging.getLogger(__name__)
@@ -33,6 +32,8 @@ class ModelSpec:
     precision_plan: dict = field(default_factory=dict)  # layer class -> (fmtA, fmtW)
 
     def __post_init__(self):
+        if "," in self.name or self.name.splitlines() != [self.name]:  # run.csv's model column
+            raise ConfigError(f"model name must be non-empty, no comma or line break: {self.name!r}")
         if min(self.seq_len, self.num_layers, self.d_model, self.d_ff, self.head_dim) < 1:
             raise ConfigError(f"{self.name}: dimensions must be positive")
         if self.d_model % self.head_dim:
@@ -43,49 +44,21 @@ class ModelSpec:
         return self.d_model // self.head_dim
 
 
-_MODEL_KEY_TYPES = {
-    "name": str,
-    **dict.fromkeys(("seq_len", "num_layers", "d_model", "d_ff", "head_dim"), int),
+_MODEL_SCHEMA = {
+    "name": Key(str),
+    **dict.fromkeys(("seq_len", "num_layers", "d_model", "d_ff"), Key(int, lo=1)),
+    "head_dim": Key(int, required=False, lo=1),
 }
 
 
 def load_model(source) -> ModelSpec:
     if isinstance(source, ModelSpec):
         return source
-    name = str(source)
-    try:
-        if name.endswith(".json"):
-            with open(name) as fh:
-                raw = json.load(fh)
-        else:
-            ref = resources.files("anyprec").joinpath(f"data/models/{name}.json")
-            if not ref.is_file():
-                raise ConfigError(f"unknown model {name!r}")
-            raw = json.loads(ref.read_text())
-        if not isinstance(raw, dict):
-            raise ConfigError(f"model config {name!r} is not a JSON object")
-        for key, value in raw.items():
-            kind = _MODEL_KEY_TYPES.get(key)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                expected = "an integer" if kind is int else "a string"
-                raise ConfigError(f"model config {name!r}: {key} must be {expected}, got {value!r}")
-        return ModelSpec(
-            name=raw["name"],
-            seq_len=raw["seq_len"],
-            num_layers=raw["num_layers"],
-            d_model=raw["d_model"],
-            d_ff=raw["d_ff"],
-            head_dim=raw.get("head_dim", 64),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model config {name!r} missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"model config {name!r}: {exc}") from exc
+    return ModelSpec(**load_json_config("model config", "models", source, _MODEL_SCHEMA))
 
 
 def builtin_models() -> list[str]:
-    base = resources.files("anyprec").joinpath("data/models")
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+    return presets("models")
 
 
 def layer_gemm_dims(model: ModelSpec, layer_class: str) -> tuple[int, int, int]:

@@ -1,11 +1,14 @@
 """Cycle/traffic model: throughput, tiling, roofline, baselines, ablation."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyprec.archsim import (
     BIT_FUSION,
+    DATAFLOWS,
     OS,
     TENSOR_CORE,
     WS,
@@ -24,11 +27,16 @@ from anyprec.archsim import (
 )
 from anyprec.codec import parse_format
 from anyprec.errors import ConfigError
+from anyprec.validate import float_formats
 
 FP4 = parse_format("e2m1")
 FP6 = parse_format("e2m3")
 FP8 = parse_format("e4m3")
 FP16 = parse_format("e5m10")
+
+PRESET_MACHINES = [load_machine(name) for name in builtin_machines()]
+SWEEP_DIMS = (1, 7, 64, 512, 2048, 4096)
+FLOATS_12 = float_formats(12)
 
 
 def gemm(m, n, k, fa=FP6, fw=FP6, fo=None, label="g"):
@@ -139,15 +147,43 @@ class TestSimulate:
         assert r.dram_bits_read == 64 * 64 * 6 * 2
 
     @given(
-        bw=st.floats(min_value=1.0, max_value=512.0),
-        bigger=st.floats(min_value=1.0, max_value=4.0),
+        acc=st.sampled_from(PRESET_MACHINES),
+        m=st.sampled_from(SWEEP_DIMS),
+        n=st.sampled_from(SWEEP_DIMS),
+        k=st.sampled_from(SWEEP_DIMS),
+        fa=st.sampled_from(FLOATS_12),
+        fw=st.sampled_from(FLOATS_12),
+        dataflow=st.sampled_from(DATAFLOWS),
+        padded=st.booleans(),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_bandwidth_monotonicity(self, bw, bigger):
-        base = AcceleratorConfig("m", 256, 16, 16, offchip_gbps=bw)
-        more = AcceleratorConfig("m", 256, 16, 16, offchip_gbps=bw * bigger)
-        g = gemm(512, 768, 640)
-        assert simulate(g, more, WS).cycles <= simulate(g, base, WS).cycles
+    # the original case: a 256-PE machine at 1 and 512 GB/s off-chip
+    @example(acc=AcceleratorConfig("m", 256, 16, 16, offchip_gbps=1.0), m=512, n=768, k=640,
+             fa=FP6, fw=FP6, dataflow=WS, padded=False)
+    @example(acc=AcceleratorConfig("m", 256, 16, 16, offchip_gbps=512.0), m=512, n=768, k=640,
+             fa=FP6, fw=FP6, dataflow=WS, padded=False)
+    @settings(max_examples=300, deadline=None)
+    def test_bandwidth_monotonicity(self, acc, m, n, k, fa, fw, dataflow, padded):
+        """Metamorphic properties: more bandwidth, buffer or array never
+        costs cycles or DRAM bits; the best dataflow is never worse than
+        either; latency covers every resource term; MACs ignore formats."""
+        g = gemm(m, n, k, fa, fw)
+        base = simulate(g, acc, dataflow, padded=padded)
+        for more in (
+            replace(acc, offchip_gbps=2 * acc.offchip_gbps),
+            replace(acc, wgt_glb_bytes=2 * acc.wgt_glb_bytes,
+                    act_out_glb_bytes=2 * acc.act_out_glb_bytes),
+            replace(acc, array_y=2 * acc.array_y, num_pes=2 * acc.num_pes),
+        ):
+            r = simulate(g, more, dataflow, padded=padded)
+            assert r.cycles <= base.cycles
+            assert r.dram_bits_read + r.dram_bits_written <= (
+                base.dram_bits_read + base.dram_bits_written
+            )
+        assert best_dataflow(g, acc).cycles <= min(simulate(g, acc, df).cycles for df in DATAFLOWS)
+        terms = base.breakdowns["cycles"]
+        assert all(base.cycles >= terms[t] + acc.reconfig_cycles
+                   for t in ("compute", "dram", "noc_w", "noc_a"))
+        assert base.macs == simulate(gemm(m, n, k, FP16, FP16), acc, dataflow, padded=padded).macs
 
     def test_buffer_monotonicity(self):
         g = gemm(2048, 11008, 4096)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -14,7 +15,7 @@ from anyprec import archsim
 from anyprec.bitpack import read_packed_file
 from anyprec.cli import RunManifest, cmd_run, cmd_validate, main
 from anyprec.cost import load_energy_table
-from anyprec.workloads import DEFAULT_SWEEP_PAIRS
+from anyprec.workloads import DEFAULT_SWEEP_PAIRS, LAYER_CLASSES
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -120,6 +121,17 @@ class TestRun:
         digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
         assert digest == "3058f8453256cac9602656db9b4393c29890ff2cbe86cf38f1ad3df507747dae"
 
+    def test_dotted_model_name_keeps_layer_column(self, tmp_path):
+        model = {"name": "my.model", "seq_len": 128, "num_layers": 1, "d_model": 128, "d_ff": 256}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        assert main(["run", "--models", str(path), "--pairs", "e2m3:e2m3",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
+        assert {tuple(row.split(",")[:2]) for row in rows} == {
+            ("my.model", f"L00.{cls}") for cls in LAYER_CLASSES
+        }
+
     def test_each_distinct_point_simulated_once(self, tmp_path, monkeypatch):
         calls = []
         real = archsim.best_dataflow
@@ -199,9 +211,31 @@ class TestBadInput:
     @pytest.mark.parametrize("key, value", [
         ("clock_ghz", 0), ("offchip_gbps", 0), ("reg_width", 0), ("noc_w_gbps", -1),
         ("wgt_glb_mb", 0), ("num_pes", 0), ("reconfig_cycles", -5),
+        ("name", 7), ("reg_width", 1), ("reg_width", 11), ("wgt_glb_mb", 1e308),
+        ("local_buf_kb_per_pe", 1e308), ("offchip_gbps", 1e-320), ("clock_ghz", 1e300),
+        ("wgt_glb_mb", 1e-7),
     ])
     def test_machine_value_ranges(self, key, value, tmp_path, capsys):
         self.test_machine_value_types(key, value, tmp_path, capsys)
+
+    @pytest.mark.parametrize("flag, preset, key, needle", [
+        ("--machine", "mobile_a", "reg_widht", "unknown key 'reg_widht' (did you mean 'reg_width'?)"),
+        ("--machine", "mobile_a", "reconfig_cylces",
+         "unknown key 'reconfig_cylces' (did you mean 'reconfig_cycles'?)"),
+        ("--models", "bert_base", "num_layer", "unknown key 'num_layer' (did you mean 'num_layers'?)"),
+        ("--models", "bert_base", "precision_plan", "unknown key 'precision_plan'"),
+        ("--energy-table", "default_synthetic", "area_overide_mm2",
+         "unknown key 'area_overide_mm2' (did you mean 'area_override_mm2'?)"),
+    ])
+    def test_unknown_key(self, flag, preset, key, needle, tmp_path, capsys):
+        subdir = {"--machine": "machines", "--models": "models", "--energy-table": "energy"}[flag]
+        raw = json.loads(resources.files("anyprec").joinpath(f"data/{subdir}/{preset}.json").read_text())
+        raw[key] = {} if key == "precision_plan" else 16
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        self._expect_config_error(
+            ["run", flag, str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)], capsys, needle
+        )
 
     def test_every_pair_rejected(self, tmp_path, capsys):
         code = main(["run", "--pairs", "bogus:e2m3,x:y", "--out", str(tmp_path)])
@@ -214,6 +248,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("key, value", [
         ("num_layers", "2"), ("d_model", 768.0), ("head_dim", True), ("name", 7), ("head_dim", 0),
+        ("d_model", 10**200), ("seq_len", 10**160), ("name", "my,model"), ("name", "my\nmodel"),
     ])
     def test_model_values(self, key, value, tmp_path, capsys):
         model = {"name": "tiny", "seq_len": 128, "num_layers": 2, "d_model": 768, "d_ff": 3072}
@@ -225,12 +260,27 @@ class TestBadInput:
             capsys, f"{key} must be" if value else "must be positive",
         )
 
+    def test_empty_model_name(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "", "seq_len": 128, "num_layers": 2, "d_model": 768,
+                                    "d_ff": 3072}))
+        self._expect_config_error(
+            ["run", "--models", str(path), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
+            capsys, "model name must be non-empty",
+        )
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("key, value, needle", [
         ("glb_mm2", "2.8", "glb_mm2 must be a number"),
         ("bpu_mm2", None, "bpu_mm2 must be a number"),
         ("area_override_mm2", "1", "area_override_mm2 must be a number"),
         ("pe_mm2", {"separator": "x"}, "pe_mm2 must map names to numbers"),
         ("pe_mm2", [0.1], "pe_mm2 must map names to numbers"),
+        ("provenance", 7, "provenance must be a string"),
+        ("glb_mm2", -5, "glb_mm2 must be >= 0"),
+        ("pe_mm2", {"x": -3}, "pe_mm2['x'] must be >= 0"),
+        ("area_override_mm2", 0, "area_override_mm2 must be positive"),
+        ("dram_pj", 1e308, "dram_pj must be 0 or of magnitude"),
     ])
     def test_energy_area_types(self, key, value, needle, tmp_path, capsys):
         table = dataclasses.asdict(load_energy_table("default_synthetic"))

@@ -67,7 +67,8 @@ def test_ablate_csv_pinned(machine, model, dataflow, tmp_path):
 def per_layer_sweep(manifest, evaluate):
     """Reference sweep: one GemmWorkload per (layer, class, pair) from
     `precision_sweep` / `expand` on the whole model, each distinct point
-    evaluated once, rows in sweep order (the commands sort them)."""
+    evaluated once, rows in sweep order (the commands sort them); like
+    `cli._sweep`, it gives each layer's label without the model name."""
     done = {}
     out = []
     for model_name in manifest.models:
@@ -79,7 +80,8 @@ def per_layer_sweep(manifest, evaluate):
                 key = (g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o)
                 if key not in done:
                     done[key] = evaluate(g)
-                out.append((model.name, g.label, f"{pa}:{pw}", done[key]))
+                layer = g.label[len(model.name) + 1:]
+                out.append((model.name, layer, f"{pa}:{pw}", done[key]))
     return out
 
 
