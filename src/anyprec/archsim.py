@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .codec import FormatSpec, Kind, parse_format
 from .config import POSITIVE, Key, load_json_config, presets
-from .control import PEConfig
+from .control import PEConfig, pe_capacity
 from .errors import ConfigError
 
 WS = "ws"
@@ -43,6 +43,8 @@ class AcceleratorConfig:
     reconfig_cycles: int = 64
 
     def __post_init__(self):
+        if self.name.splitlines() != [self.name]:  # it starts one-line error messages
+            raise ConfigError(f"machine name must be non-empty, with no line break: {self.name!r}")
         if self.num_pes != self.array_x * self.array_y:
             raise ConfigError(
                 f"{self.name}: num_pes {self.num_pes} != {self.array_x}x{self.array_y}"
@@ -105,19 +107,8 @@ class SimReport:
 
 
 def pe_throughput(fmt_a: FormatSpec, fmt_w: FormatSpec, cfg: PEConfig | None = None) -> int:
-    """Peak MACs per cycle per PE: element pairs per register load, capped
-    by the primitive-register capacity."""
-    cfg = cfg or PEConfig()
-    pairs = (cfg.reg_width // fmt_a.total_bits) * (cfg.reg_width // fmt_w.total_bits)
-    prims = max(1, fmt_a.man_bits * fmt_w.man_bits)
-    return min(pairs, cfg.prim_reg_bits // prims)
-
-
-def _elems(reg_width: int, width: int) -> int:
-    n = reg_width // width
-    if n < 1:
-        raise ConfigError(f"{width}-bit element exceeds the {reg_width}-bit register")
-    return n
+    """Peak MACs per cycle per PE: the operations of one datapath pass."""
+    return pe_capacity(fmt_a, fmt_w, cfg or PEConfig())[2]
 
 
 def _halving_ladder(n: int) -> list[int]:
@@ -213,28 +204,34 @@ def simulate(
     dataflow: str = WS,
     pe_cfg: PEConfig | None = None,
     padded: bool = False,
-    throughput: int | None = None,
+    pe: tuple[int, int, int] | None = None,
     store_widths: tuple[int, int, int] | None = None,
 ) -> SimReport:
     """Analytic cycle/traffic model of one GEMM on one machine.
 
-    `padded` stores every element in byte-aligned containers end to end
-    (no packing unit); `throughput` and `store_widths` let baselines
-    override the PE rate and storage widths.
+    The PE's elements per register load and operations per pass come from
+    `control.pe_capacity`. `padded` stores every element in byte-aligned
+    containers end to end (no packing unit), so a load holds no more
+    elements than fit the register as containers. `pe` (elements per load
+    of A and of W, operations per pass) and `store_widths` let baselines
+    override the PE and the storage widths.
     """
     pe_cfg = pe_cfg or PEConfig(reg_width=acc.reg_width)
-    if store_widths is not None:
-        pa, pw, po = store_widths
-    else:
-        pa, pw, po = (f.total_bits for f in (w.fmt_a, w.fmt_w, w.fmt_o))
+    pa, pw, po = store_widths or (f.total_bits for f in (w.fmt_a, w.fmt_w, w.fmt_o))
     if padded:
         pa, pw, po = (8 * _ceil_div(x, 8) for x in (pa, pw, po))
 
-    tput = throughput if throughput is not None else pe_throughput(w.fmt_a, w.fmt_w, pe_cfg)
-    pe_a = _elems(pe_cfg.reg_width, pa)
-    pe_w = _elems(pe_cfg.reg_width, pw)
+    if pe is None:
+        pe_a, pe_w, tput, _ = pe_capacity(w.fmt_a, w.fmt_w, pe_cfg)
+        if padded:
+            pe_a, pe_w = min(pe_a, pe_cfg.reg_width // pa), min(pe_w, pe_cfg.reg_width // pw)
+    else:
+        pe_a, pe_w, tput = pe
+    for width, n in ((pa, pe_a), (pw, pe_w)):
+        if n < 1:
+            raise ConfigError(f"{width}-bit element exceeds the {pe_cfg.reg_width}-bit register")
     tput = min(tput, pe_a * pe_w)
-    cyc_per_step = _ceil_div(pe_a * pe_w, tput)
+    cyc_per_step = _ceil_div(pe_a * pe_w, tput)  # the serialization factor of a packed load
 
     plan = plan_tiles(w, acc, dataflow, pa, pw, po)
 
@@ -392,26 +389,18 @@ def simulate_baseline(
     """
     pe_cfg = pe_cfg or PEConfig(reg_width=acc.reg_width)
     if kind == TENSOR_CORE:
-        up_a = upcast_tensor_core(w.fmt_a)
-        up_w = upcast_tensor_core(w.fmt_w)
-        up_o = upcast_tensor_core(w.fmt_o)
-        tput = pe_throughput(up_a, up_w, pe_cfg)
-        report = simulate(
-            w, acc, WS, pe_cfg,
-            throughput=tput,
-            store_widths=(up_a.total_bits, up_w.total_bits, up_o.total_bits),
-        )
+        up_a, up_w, up_o = (upcast_tensor_core(f) for f in (w.fmt_a, w.fmt_w, w.fmt_o))
+        widths = (up_a.total_bits, up_w.total_bits, up_o.total_bits)
+        per_pass = pe_cfg.prim_reg_bits // max(1, up_a.man_bits * up_w.man_bits)
     elif kind == BIT_FUSION:
-        sa, ma = upcast_bit_fusion(w.fmt_a)
-        sw, mw = upcast_bit_fusion(w.fmt_w)
-        so, _ = upcast_bit_fusion(w.fmt_o)
-        pairs = (pe_cfg.reg_width // sa) * (pe_cfg.reg_width // sw)
-        tput = min(pairs, 256 // (ma * mw))
-        report = simulate(
-            w, acc, WS, pe_cfg, throughput=tput, store_widths=(sa, sw, so)
-        )
+        (sa, ma), (sw, mw), (so, _) = (upcast_bit_fusion(f) for f in (w.fmt_a, w.fmt_w, w.fmt_o))
+        widths = (sa, sw, so)
+        per_pass = 256 // (ma * mw)
     else:
         raise ConfigError(f"unknown baseline {kind!r}")
+    # fixed-width elements packed whole into the register, no field-register limit
+    pe = (pe_cfg.reg_width // widths[0], pe_cfg.reg_width // widths[1], per_pass)
+    report = simulate(w, acc, WS, pe_cfg, pe=pe, store_widths=widths)
     report.machine = f"{acc.name}:{kind}"
     return report
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from . import archsim, bitpack, cost, validate, workloads
 from .codec import parse_format
+from .control import PEConfig
 from .errors import AnyprecError, ConfigError, FormatError
 
 SCHEMA_VERSION = "anyprec-csv-v1"
@@ -68,7 +69,9 @@ def _sweep(manifest: RunManifest, evaluate) -> list:
     Every layer of a model repeats the same layer-class GEMMs, so the sweep
     is expanded on a one-layer view of the model and each class's result
     goes to every layer by label. `evaluate` may depend only on the GEMM's
-    dims and formats, so it runs once per distinct point."""
+    dims and formats, so it runs once per distinct point. Pairs the
+    machine's PE cannot run are skipped like malformed ones."""
+    pe_cfg = PEConfig(reg_width=archsim.load_machine(manifest.machine).reg_width)
     done = {}
     out = []
     for model_name in manifest.models:
@@ -83,7 +86,7 @@ def _sweep(manifest: RunManifest, evaluate) -> list:
             for cls in workloads.LAYER_CLASSES
         }
         for pa, pw, gemms in workloads.precision_sweep(
-            one_layer, manifest.pairs, include_attention=manifest.include_attention
+            one_layer, manifest.pairs, include_attention=manifest.include_attention, pe_cfg=pe_cfg
         ):
             pair = f"{pa}:{pw}"
             for g in gemms:

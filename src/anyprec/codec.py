@@ -272,7 +272,8 @@ def encode(v: ExactNumber, fmt: FormatSpec, rounding: Rounding = Rounding.TRUNCA
         return ScalarValue(v.sign, fmt.exp_max, fmt.man_max, fmt)
     if e_field < 0:  # underflow flushes to zero
         return ScalarValue(0, 0, 0, fmt, is_zero=True)
-    return ScalarValue(v.sign, e_field, man, fmt)
+    # +2^-bias encodes as the all-zero word, which decodes as zero
+    return ScalarValue(v.sign, e_field, man, fmt, is_zero=not (v.sign or e_field or man))
 
 
 def _encode_int(v: ExactNumber, fmt: FormatSpec) -> ScalarValue:

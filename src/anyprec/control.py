@@ -11,6 +11,7 @@ by every simulated PE of a layer.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .codec import FormatSpec, Kind
@@ -66,21 +67,36 @@ _IDLE = SwitchMode(ModeKind.IDLE)
 _THREE_INPUT = {ModeKind.C3, ModeKind.A3, ModeKind.CONCAT_ADD}
 
 
-def element_capacity(fmt: FormatSpec, cfg: PEConfig) -> int:
-    """Whole elements one register load can feed through the separator."""
-    p = fmt.total_bits
-    n = cfg.reg_width // p
-    if fmt.man_bits:
-        n = min(n, cfg.man_reg_bits // fmt.man_bits)
-    if fmt.exp_bits:
-        n = min(n, cfg.exp_reg_bits // fmt.exp_bits)
-    if fmt.signed:
-        n = min(n, cfg.sign_reg_bits)
-    if n < 1:
-        raise CapacityError(
-            f"one {fmt.render()} element does not fit the register partition"
-        )
-    return n
+@functools.lru_cache(maxsize=1024)
+def pe_capacity(fmt_a: FormatSpec, fmt_w: FormatSpec, cfg: PEConfig) -> tuple[int, int, int, int]:
+    """(act elements per load, wgt elements per load, operations per pass,
+    passes per load), for the compiler and the cycle model alike. Whole
+    elements fit the packed register and the sign, exponent and mantissa
+    registers; operations past the primitive register defer to the next
+    pass. CapacityError for a pair the datapath cannot run."""
+    if (fmt_a.kind is Kind.INT) != (fmt_w.kind is Kind.INT):
+        raise CapacityError(f"{fmt_a}x{fmt_w}: the datapath runs no mixed int/float pair")
+    elems = []
+    for fmt in (fmt_a, fmt_w):
+        n = cfg.reg_width // fmt.total_bits
+        if fmt.man_bits:
+            n = min(n, cfg.man_reg_bits // fmt.man_bits)
+        if fmt.exp_bits:
+            n = min(n, cfg.exp_reg_bits // fmt.exp_bits)
+        if fmt.signed:
+            n = min(n, cfg.sign_reg_bits)
+        if n < 1:
+            raise CapacityError(f"one {fmt} element does not fit the register partition")
+        elems.append(n)
+    n_acts, n_wgts = elems
+    total_ops = n_acts * n_wgts
+    num_prims = fmt_a.man_bits * fmt_w.man_bits
+    if num_prims == 0:
+        return n_acts, n_wgts, total_ops, 1
+    ops_per_pass = min(total_ops, cfg.prim_reg_bits // num_prims)
+    if ops_per_pass == 0:
+        raise CapacityError(f"{fmt_a}x{fmt_w}: one operation exceeds the primitive register")
+    return n_acts, n_wgts, ops_per_pass, -(-total_ops // ops_per_pass)
 
 
 def compile_separator(fmt_a: FormatSpec, fmt_w: FormatSpec, cfg: PEConfig) -> dict:
@@ -93,8 +109,7 @@ def compile_separator(fmt_a: FormatSpec, fmt_w: FormatSpec, cfg: PEConfig) -> di
     unrouted.
     """
     routes = {}
-    for name, fmt in (("act", fmt_a), ("wgt", fmt_w)):
-        n = element_capacity(fmt, cfg)
+    for name, fmt, n in zip(("act", "wgt"), (fmt_a, fmt_w), pe_capacity(fmt_a, fmt_w, cfg)):
         p = fmt.total_bits
         route: list[tuple[str, int] | None] = [None] * cfg.reg_width
         sign_idx = exp_idx = man_idx = 0
@@ -139,18 +154,10 @@ def compile_primgen(fmt_a: FormatSpec, fmt_w: FormatSpec, cfg: PEConfig) -> Prim
     register load pair.
     """
     bm_a, bm_w = fmt_a.man_bits, fmt_w.man_bits
-    n_acts = element_capacity(fmt_a, cfg)
-    n_wgts = element_capacity(fmt_w, cfg)
+    n_acts, n_wgts, ops_per_pass, serialization = pe_capacity(fmt_a, fmt_w, cfg)
     num_prims = bm_a * bm_w
-    total_ops = n_acts * n_wgts
     if num_prims == 0:
-        return PrimLayout(0, n_acts, n_wgts, total_ops, 1, (), (), ())
-    ops_per_pass = min(total_ops, cfg.prim_reg_bits // num_prims)
-    if ops_per_pass == 0:
-        raise CapacityError(
-            f"one {bm_a}x{bm_w}-bit operation exceeds the primitive register"
-        )
-    serialization = -(-total_ops // ops_per_pass)
+        return PrimLayout(0, n_acts, n_wgts, ops_per_pass, serialization, (), (), ())
 
     routes: list[tuple[int, int] | None] = [None] * cfg.prim_reg_bits
     oids: list[int | None] = [None] * cfg.prim_reg_bits
@@ -452,10 +459,6 @@ def compile_bundle(fmt_a: FormatSpec, fmt_w: FormatSpec, out_fmt: FormatSpec, cf
     """Compose every compiler product for one (activation, weight) format
     pair. Deterministic; identical inputs give identical bundles."""
     cfg = cfg or PEConfig()
-    if (fmt_a.kind is Kind.INT) != (fmt_w.kind is Kind.INT):
-        raise CapacityError(
-            "mixed int/float operand pairs are not supported by the bit-level datapath"
-        )
     sep = compile_separator(fmt_a, fmt_w, cfg)
     prim = compile_primgen(fmt_a, fmt_w, cfg)
     if prim.num_prims:

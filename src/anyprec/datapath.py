@@ -356,18 +356,19 @@ def encode_words(sign: np.ndarray, sig: np.ndarray, exp2: np.ndarray, fmt: Forma
     return np.where(zero, 0, word)
 
 
+def _product_exp_offset(bundle: ControlBundle) -> int:
+    """Subtracted from a float product's biased exponent-field sum, gives
+    the power of two that scales its integer significand."""
+    fa, fw = bundle.fmt_a, bundle.fmt_w
+    return fa.bias_value + fw.bias_value + fa.man_bits + fw.man_bits
+
+
 def products_to_words(raw: RawProducts, bundle: ControlBundle, out_fmt: FormatSpec) -> np.ndarray:
     """Encode every raw product into the output format."""
     if bundle.int_mode:
         exp2 = np.zeros_like(raw.sig)
     else:
-        bias_off = (
-            bundle.fmt_a.bias_value
-            + bundle.fmt_w.bias_value
-            + bundle.fmt_a.man_bits
-            + bundle.fmt_w.man_bits
-        )
-        exp2 = raw.exp_sum - bias_off
+        exp2 = raw.exp_sum - _product_exp_offset(bundle)
     sig = np.where(raw.zero, 0, raw.sig)
     return encode_words(raw.sign, sig, exp2, out_fmt)
 
@@ -456,11 +457,21 @@ def accumulate(shifted, signs, ref_scale: int, out_fmt: FormatSpec):
     for v, s in zip(shifted, signs):
         total += -v if s else v
     exact = ExactNumber(1 if total < 0 else 0, abs(total), ref_scale) if total else ExactNumber.zero()
+    return _finalize(exact, out_fmt)
+
+
+def _finalize(exact: ExactNumber, out_fmt: FormatSpec) -> tuple[ScalarValue, bool]:
+    """Truncate an exact accumulator value into the output format once.
+    Returns (ScalarValue, saturated flag): a float result saturates when
+    the exact value exceeds the format's max-finite magnitude."""
     out = encode(exact, out_fmt)
-    saturated = False
-    if not exact.is_zero and out_fmt.kind is Kind.FLOAT:
-        if out.exp_field == out_fmt.exp_max and out.man_field == out_fmt.man_max:
-            saturated = abs(exact.to_fraction()) > abs(out.to_fraction())
+    saturated = (
+        not exact.is_zero
+        and out_fmt.kind is Kind.FLOAT
+        and out.exp_field == out_fmt.exp_max
+        and out.man_field == out_fmt.man_max
+        and abs(exact.to_fraction()) > abs(out.to_fraction())
+    )
     return out, saturated
 
 
@@ -468,6 +479,8 @@ def accumulate(shifted, signs, ref_scale: int, out_fmt: FormatSpec):
 class TileStats:
     precision_loss_events: int = 0
     saturations: int = 0
+    register_loads: int = 0   # act/wgt register load pairs of the tile
+    tree_passes: int = 0      # datapath passes: the serialization factor per load
 
 
 def _group_reduce(products, bundle: ControlBundle, stats: TileStats) -> ExactNumber:
@@ -490,11 +503,7 @@ def _group_reduce(products, bundle: ControlBundle, stats: TileStats) -> ExactNum
         widths=[pw] * len(aligned),
     )
     stats.precision_loss_events += events
-    bias_off = (
-        bundle.fmt_a.bias_value + bundle.fmt_w.bias_value
-        + bundle.fmt_a.man_bits + bundle.fmt_w.man_bits
-    )
-    scale = (aligned[0].ref_exp - bias_off) - head
+    scale = (aligned[0].ref_exp - _product_exp_offset(bundle)) - head
     total = 0
     for v, op in zip(shifted, aligned):
         total += -v if op.significand < 0 else v
@@ -533,12 +542,12 @@ def pe_mac_tile(
     a_pad[:m] = np.asarray(a_tile.words(), dtype=np.int64).reshape(m, k)
     w_pad = np.zeros((k, nb * nw), dtype=np.int64)
     w_pad[:, :n] = np.asarray(w_tile.words(), dtype=np.int64).reshape(k, n)
-    stats = TileStats()
-
     # one register load per (kk, m0, n0) block, all driven as one batch
-    words_a = np.broadcast_to(a_pad.T.reshape(k, mb, 1, na), (k, mb, nb, na))
-    words_w = np.broadcast_to(w_pad.reshape(k, 1, nb, nw), (k, mb, nb, nw))
-    raw = run_cross_products(bundle, words_a.reshape(-1, na), words_w.reshape(-1, nw))
+    words_a = np.broadcast_to(a_pad.T.reshape(k, mb, 1, na), (k, mb, nb, na)).reshape(-1, na)
+    words_w = np.broadcast_to(w_pad.reshape(k, 1, nb, nw), (k, mb, nb, nw)).reshape(-1, nw)
+    raw = run_cross_products(bundle, words_a, words_w)
+    loads = len(words_a)
+    stats = TileStats(register_loads=loads, tree_passes=loads * bundle.prim.serialization_factor)
 
     def per_output(v):
         # (load, op) with op = w * n_acts + a  ->  nested [row][col][kk] lists
@@ -565,15 +574,8 @@ def pe_mac_tile(
             acc = ExactNumber.zero()
             for g0 in range(0, len(prods), group):
                 acc = acc.add(_group_reduce(prods[g0 : g0 + group], bundle, stats))
-            acc = acc.mul(scale)
-            out = encode(acc, out_fmt)
-            if not acc.is_zero and out_fmt.kind is Kind.FLOAT:
-                if (
-                    out.exp_field == out_fmt.exp_max
-                    and out.man_field == out_fmt.man_max
-                    and abs(acc.to_fraction()) > abs(out.to_fraction())
-                ):
-                    stats.saturations += 1
+            out, saturated = _finalize(acc.mul(scale), out_fmt)
+            stats.saturations += saturated
             out_words.append(out.word())
     return PackedBuffer.from_words(out_words, out_fmt), stats
 

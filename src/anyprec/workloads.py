@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .archsim import GemmWorkload
 from .codec import FormatSpec, parse_format
 from .config import Key, load_json_config, presets
-from .errors import ConfigError, FormatError
+from .control import PEConfig, pe_capacity
+from .errors import CapacityError, ConfigError, FormatError
 
 log = logging.getLogger(__name__)
 
@@ -129,11 +130,12 @@ def precision_sweep(
     pairs,
     fmt_o_policy: str = "act",
     include_attention: bool = True,
+    pe_cfg: PEConfig = PEConfig(),
 ) -> list[tuple[str, str, list[GemmWorkload]]]:
     """Cross product of the model's GEMMs with precision pairs, stable
     ordering. Pairs may be FormatSpec tuples or "actfmt:wgtfmt" strings;
-    invalid pairs are skipped with a warning, but rejecting every pair
-    given is a ConfigError."""
+    invalid pairs, and pairs the PE `pe_cfg` cannot run, are skipped with
+    a warning, but rejecting every pair given is a ConfigError."""
     out = []
     rejected = []
     for pair in pairs:
@@ -143,9 +145,8 @@ def precision_sweep(
                 fa, fw = parse_format(a_txt), parse_format(w_txt)
             else:
                 fa, fw = pair
-            if max(fa.total_bits, fw.total_bits) > 24:
-                raise FormatError(f"{fa}x{fw} exceeds the register width")
-        except (FormatError, ValueError) as exc:
+            pe_capacity(fa, fw, pe_cfg)
+        except (CapacityError, FormatError, ValueError) as exc:
             log.warning("skipping precision pair %r: %s", pair, exc)
             rejected.append(pair)
             continue

@@ -1,5 +1,7 @@
 """Cycle/traffic model: throughput, tiling, roofline, baselines, ablation."""
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,7 +27,10 @@ from anyprec.archsim import (
     upcast_bit_fusion,
     upcast_tensor_core,
 )
-from anyprec.codec import parse_format
+from anyprec.bitpack import PackedBuffer
+from anyprec.codec import Kind, parse_format
+from anyprec.control import PEConfig, compile_bundle
+from anyprec.datapath import pe_mac_tile
 from anyprec.errors import ConfigError
 from anyprec.validate import float_formats
 
@@ -54,15 +59,68 @@ class TestThroughput:
         assert pe_throughput(wide, wide) == 1
 
     def test_prim_register_caps(self):
-        # e2m5 x e2m5: 3x3 register pairs but 25 prims/op caps at 5
+        # e2m5 x e2m5: 3 elements fit the 24-bit register, but only 2 five-bit
+        # mantissas fit the 12-bit mantissa register; the 2x2 operations of
+        # 25 prims each are within the 144 // 25 = 5 the primitive register holds
         f = parse_format("e2m5")
-        assert pe_throughput(f, f) == min(9, 144 // 25)
+        assert pe_throughput(f, f) == 4
+        # the primitive register binds when it holds fewer operations
+        assert pe_throughput(f, f, PEConfig(prim_reg_bits=75)) == 3
 
     def test_monotone_in_precision(self):
         # decreasing either operand precision never lowers the rate
         fmts = [parse_format(f"e2m{m}") for m in range(1, 9)]
         rates = [pe_throughput(f, FP6) for f in fmts]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+ONE_PE = AcceleratorConfig("one_pe", 1, 1, 1)
+INTS_12 = [parse_format(f"int{bits}") for bits in range(2, 13)]
+
+
+class TestCapacityModel:
+    """The cycle model credits a PE with what the functional datapath does
+    (an analytic model checked against counted actions, as in Timeloop)."""
+
+    def test_rate_is_the_compiled_datapath_rate(self):
+        # every float pair of <= 12 bits and every int pair int2..int12
+        pairs = itertools.chain(itertools.product(FLOATS_12, FLOATS_12),
+                                itertools.product(INTS_12, INTS_12))
+        for fa, fw in pairs:
+            bundle = compile_bundle(fa, fw, fa)
+            rate = simulate(gemm(1, 1, 1, fa, fw), ONE_PE).breakdowns["plan"]["throughput"]
+            assert rate == pe_throughput(fa, fw)
+            assert rate == bundle.ops_per_load / bundle.prim.serialization_factor, (fa, fw)
+
+    @pytest.mark.parametrize("pair, cfg", [
+        ("e2m3:e2m3", PEConfig()),
+        ("e4m3:e2m1", PEConfig()),
+        ("e5m10:e2m3", PEConfig()),
+        ("e1m5:e5m5", PEConfig()),
+        ("e5m2:e5m2", PEConfig()),
+        ("int4:int4", PEConfig()),
+        ("int8:int3", PEConfig()),
+        # 2x2 operations of 25 prims, 3 per pass: 2 passes per load
+        ("e2m5:e2m5", PEConfig(prim_reg_bits=75)),
+        # 4x4 operations of 9 prims, 4 per pass: 4 passes per load
+        ("e2m3:e2m3", PEConfig(prim_reg_bits=36)),
+    ])
+    @pytest.mark.parametrize("dataflow", DATAFLOWS)
+    def test_tree_passes_equal_compute_cycles(self, pair, cfg, dataflow):
+        fa, fw = (parse_format(t) for t in pair.split(":"))
+        out = parse_format("e5m10" if fa.kind is Kind.FLOAT else "int16")
+        bundle = compile_bundle(fa, fw, out, cfg)
+        na, nw = bundle.n_acts, bundle.n_wgts
+        rng = random.Random(pair)
+        # full, ragged and single-element m/n blocks
+        for m, n, k in ((1, 1, 1), (na, nw, 2), (na + 1, nw + 1, 3), (2 * na + 1, 1, 5), (1, 2 * nw, 4)):
+            a = PackedBuffer.from_words([rng.randrange(1 << fa.total_bits) for _ in range(m * k)], fa)
+            w = PackedBuffer.from_words([rng.randrange(1 << fw.total_bits) for _ in range(k * n)], fw)
+            _, stats = pe_mac_tile(a, w, m, n, k, bundle, out)
+            rep = simulate(gemm(m, n, k, fa, fw, out), ONE_PE, dataflow, cfg)
+            compute = rep.breakdowns["cycles"]["compute"]
+            assert stats.tree_passes == compute, (m, n, k)
+            assert stats.register_loads * bundle.prim.serialization_factor == compute
 
 
 class TestMachines:
@@ -161,12 +219,25 @@ class TestSimulate:
              fa=FP6, fw=FP6, dataflow=WS, padded=False)
     @example(acc=AcceleratorConfig("m", 256, 16, 16, offchip_gbps=512.0), m=512, n=768, k=640,
              fa=FP6, fw=FP6, dataflow=WS, padded=False)
+    # packed was charged ceil(6/5) = 2 cycles per step for a 3x2 load that
+    # the datapath runs as 2x2 in one pass: 78 packed against 71 padded cycles
+    @example(acc=load_machine("mobile_a"), m=1, n=1, k=7, fa=parse_format("e1m5"),
+             fw=parse_format("e5m5"), dataflow=OS, padded=False)
     @settings(max_examples=300, deadline=None)
     def test_bandwidth_monotonicity(self, acc, m, n, k, fa, fw, dataflow, padded):
         """Metamorphic properties: more bandwidth, buffer or array never
         costs cycles or DRAM bits; the best dataflow is never worse than
-        either; latency covers every resource term; MACs ignore formats."""
+        either; latency covers every resource term; MACs ignore formats;
+        packing never costs cycles, DRAM, NoC or SRAM bits."""
         g = gemm(m, n, k, fa, fw)
+        packed, unpacked = packing_ablation(g, acc, dataflow)
+        for bits in (
+            lambda r: r.cycles,
+            lambda r: r.dram_bits_read + r.dram_bits_written,
+            lambda r: r.noc_bits,
+            lambda r: r.sram_read_bits + r.sram_write_bits,
+        ):
+            assert bits(packed) <= bits(unpacked)
         base = simulate(g, acc, dataflow, padded=padded)
         for more in (
             replace(acc, offchip_gbps=2 * acc.offchip_gbps),

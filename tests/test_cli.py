@@ -1,7 +1,9 @@
 """CLI subcommands: validation sweeps, run determinism, file packing."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,11 +12,14 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyprec import archsim
 from anyprec.bitpack import read_packed_file
 from anyprec.cli import RunManifest, cmd_run, cmd_validate, main
 from anyprec.cost import load_energy_table
+from anyprec.validate import float_formats
 from anyprec.workloads import DEFAULT_SWEEP_PAIRS, LAYER_CLASSES
 
 
@@ -246,6 +251,15 @@ class TestBadInput:
         ]
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("pair", ["int16:int16", "int4:e2m3"])
+    def test_pair_the_pe_cannot_run(self, pair, tmp_path, capsys):
+        # int16's 15-bit magnitude exceeds the 12-bit mantissa register, and
+        # the datapath runs no mixed int/float pair
+        self._expect_config_error(
+            ["run", "--pairs", pair, "--out", str(tmp_path)], capsys, f"['{pair}']"
+        )
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("num_layers", "2"), ("d_model", 768.0), ("head_dim", True), ("name", 7), ("head_dim", 0),
         ("d_model", 10**200), ("seq_len", 10**160), ("name", "my,model"), ("name", "my\nmodel"),
@@ -332,6 +346,45 @@ class TestBadInput:
             ["run", flag, str(bad), "--pairs", "e2m3:e2m3", "--out", str(tmp_path)],
             capsys, "bad.json",
         )
+
+
+# --------------------------------------------------------------------------
+# fuzz: generated --pairs strings through `anyprec run` and `anyprec ablate`
+# --------------------------------------------------------------------------
+
+FORMATS = st.one_of(
+    st.sampled_from([str(f) for f in float_formats(12)]),                   # valid floats
+    st.sampled_from(["e5m20", "e12m12", "e30m30", "e11m12", "int13", "int16", "int32"]),  # oversized
+    st.integers(2, 12).map(lambda bits: f"int{bits}"),
+    st.sampled_from(["uint4", "fp6:e2m3", "fp7:e2m3", "E4M3", " e2m1 "]),
+    st.text(alphabet="emintfpu0123456789: ", max_size=8),                   # malformed
+)
+PAIRS_ARG = st.lists(
+    st.one_of(st.tuples(FORMATS, FORMATS).map(":".join), st.text(max_size=6)), max_size=3
+).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pairs")
+    (path / "tiny.json").write_text(json.dumps(
+        {"name": "tiny", "seq_len": 64, "num_layers": 1, "d_model": 128, "d_ff": 256}
+    ))
+    return path
+
+
+@given(command=st.sampled_from(["run", "ablate"]), pairs=PAIRS_ARG)
+@settings(max_examples=200, deadline=None)
+def test_generated_pairs_exit_zero_or_two(command, pairs, fuzz_dir):
+    argv = [command, "--models", str(fuzz_dir / "tiny.json"), f"--pairs={pairs}",
+            "--out", str(fuzz_dir / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err.getvalue()
 
 
 class TestAblate:

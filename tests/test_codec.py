@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anyprec.codec import (
@@ -145,6 +145,28 @@ class TestEncode:
         v = ExactNumber(sign, sig, exp2)
         out = encode(v, E2M3)
         assert abs(out.to_fraction()) <= abs(v.to_fraction())
+
+    def test_half_encodes_as_zero(self):
+        # +1/2 = 2^-bias of e2m3 has all-zero fields, so its word is 0
+        out = encode(ExactNumber(0, 1, -1), E2M3)
+        assert out.word() == 0 and out.is_zero and out.to_exact().is_zero
+
+    @given(
+        fmt=st.sampled_from(
+            list(all_float_formats(12))
+            + [parse_format(f"{u}int{bits}") for u in ("", "u") for bits in range(2, 13)]
+        ),
+        # powers of two reach the all-zero-field value 2^-bias
+        sig=st.one_of(
+            st.integers(min_value=0, max_value=1 << 24), st.integers(0, 24).map(lambda b: 1 << b)
+        ),
+        exp2=st.integers(min_value=-40, max_value=40),
+        sign=st.integers(min_value=0, max_value=1),
+    )
+    @example(fmt=E2M3, sig=4, exp2=-3, sign=0)
+    def test_encoded_value_is_its_word(self, fmt, sig, exp2, sign):
+        out = encode(ExactNumber(sign, sig, exp2), fmt)
+        assert decode(out.word(), fmt) == out
 
 
 class TestMulRef:

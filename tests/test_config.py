@@ -14,6 +14,7 @@ from anyprec import archsim, cost, workloads
 from anyprec.archsim import AcceleratorConfig, load_machine
 from anyprec.cli import main
 from anyprec.cost import EnergyTable, load_energy_table
+from anyprec.errors import ConfigError
 from anyprec.workloads import DEFAULT_SWEEP_PAIRS, ModelSpec, load_model
 
 MB = 2**20
@@ -146,3 +147,21 @@ def test_mutated_preset_exits_zero_or_two(mutation, pair, workdir):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "mobile\n", "", "a\u2028b"])
+def test_machine_name_is_one_nonempty_line(name, tmp_path):
+    # errors start with the machine name, so a line break would split them;
+    # num_pes 5 on a 2x2 array is the error the name used to split
+    raw = {**_raw("--machine", "mobile_a"), "name": name, "num_pes": 5, "array_x": 2, "array_y": 2}
+    (tmp_path / "m.json").write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--machine", str(tmp_path / "m.json"), "--pairs", "e2m3:e2m3",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert err.getvalue().splitlines() == [
+        f"error: machine name must be non-empty, with no line break: {name!r}"
+    ]
+    with pytest.raises(ConfigError, match="machine name"):
+        AcceleratorConfig(name, 1, 1, 1)

@@ -16,7 +16,7 @@ from anyprec.control import (
     compile_primgen,
     compile_reduction_tree,
     compile_separator,
-    element_capacity,
+    pe_capacity,
 )
 from anyprec.errors import CapacityError, ControlError
 
@@ -73,11 +73,11 @@ class TestSeparator:
     def test_capacity_clamps_element_count(self):
         # e1m6: 3 elements fit the register but only 2 mantissas fit
         fmt = parse_format("e1m6")
-        assert element_capacity(fmt, CFG) == 2
+        assert pe_capacity(fmt, fmt, CFG)[:2] == (2, 2)
 
     def test_capacity_error_when_one_element_cannot_fit(self):
         with pytest.raises(CapacityError):
-            element_capacity(parse_format("e14m9"), CFG)
+            pe_capacity(parse_format("e14m9"), FP6, CFG)
 
 
 class TestPrimGen:

@@ -541,6 +541,8 @@ def _mac_tile_per_load(a_tile, w_tile, m, n, k, bundle, out_fmt, mx_scales):
                 raw = run_cross_products(
                     bundle, np.asarray([col], dtype=np.int64), np.asarray([row], dtype=np.int64)
                 )
+                stats.register_loads += 1
+                stats.tree_passes += bundle.prim.serialization_factor
                 for mi in range(ma):
                     for nj in range(nw):
                         o = raw.op_index(mi, nj)

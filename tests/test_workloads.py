@@ -2,7 +2,11 @@
 
 import logging
 
+import pytest
+
 from anyprec.codec import parse_format
+from anyprec.control import PEConfig
+from anyprec.errors import ConfigError
 from anyprec.workloads import (
     DEFAULT_SWEEP_PAIRS,
     ModelSpec,
@@ -88,11 +92,23 @@ class TestSweep:
         assert (pa, pw) == ("e5m10", "e5m10")
         assert len(gemms) == 72
 
-    def test_mixed_float_int_pair_accepted(self):
+    def test_mixed_float_int_pair_rejected(self):
+        # the datapath runs no mixed int/float pair, so the sweep skips it
         m = load_model("bert_base")
-        result = precision_sweep(m, ["e5m10:int4"])
-        assert len(result) == 1
-        assert result[0][1] == "int4"
+        result = precision_sweep(m, ["e5m10:int4", "e2m3:e2m3"])
+        assert [(a, w) for a, w, _ in result] == [("e2m3", "e2m3")]
+        with pytest.raises(ConfigError, match=r"\['int4:e2m3'\]"):
+            precision_sweep(m, ["int4:e2m3"])
+
+    def test_pairs_checked_against_the_pe(self):
+        # int16's 15-bit magnitude exceeds the 12-bit mantissa register;
+        # e5m10 fits a 24-bit register but not a 12-bit one
+        m = load_model("bert_base")
+        with pytest.raises(ConfigError, match="int16:int16"):
+            precision_sweep(m, ["int16:int16"])
+        assert len(precision_sweep(m, ["e5m10:e5m10"])) == 1
+        with pytest.raises(ConfigError):
+            precision_sweep(m, ["e5m10:e5m10"], pe_cfg=PEConfig(reg_width=12))
 
     def test_thirteen_pair_sweep_count(self):
         m = load_model("bert_base")
