@@ -366,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_from_args(args) -> RunManifest:
     pairs = [s for s in args.pairs.split(",") if s]
+    if not all(map(str.isprintable, pairs)):  # a line break would split run.csv's comment row
+        raise ConfigError(f"--pairs {args.pairs!r} holds a control character")
     return RunManifest(
         machine=args.machine,
         models=args.models,

@@ -5,13 +5,13 @@ width; leading axes batch register loads. One code path serves a single
 multiply (batch of 1), a GEMM tile (every register load of the tile in
 one batch) and the exhaustive verification sweeps. Mantissa products are
 built from bit-product primitives reduced by the compiled tree plan;
-exponents travel through the segmented carry-chain adder; results encode
-through truncation with saturation.
+exponents travel through the segmented adder as one word-level carry-kill
+add on int64 lane words, bit-identical to a per-bit ripple under any break
+mask; results encode through truncation with saturation.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,53 +153,46 @@ def apply_implicit_one(raw, a, w, p: int, q: int):
     return step1 + (a << q) + (1 << (p + q))
 
 
-@functools.lru_cache(maxsize=64)
-def _uniform_segment(breaks: tuple) -> int:
-    """Segment length seg when carries stop after every seg-th bit (the
-    masks control.compile_exp_adder builds), else 0."""
-    if 1 not in breaks:
-        return 0
-    seg = breaks.index(1) + 1
-    if all(bool(b) == ((i + 1) % seg == 0) for i, b in enumerate(breaks)):
-        return seg
-    return 0
+def _bits_to_words(bits, span: int) -> np.ndarray:
+    """Pack bit arrays (..., n), bit 0 first, into (..., ceil(n / span))
+    int64 words of span bits; the last word is zero-padded."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n_words = -(-bits.shape[-1] // span)
+    padded = np.zeros(bits.shape[:-1] + (n_words * span,), dtype=np.int64)
+    padded[..., : bits.shape[-1]] = bits
+    return padded.reshape(*bits.shape[:-1], n_words, span) @ (1 << np.arange(span, dtype=np.int64))
 
 
-def _ripple(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Ripple-carry add along the last axis into out, with no breaks."""
-    carry = np.zeros(x.shape[:-1], dtype=np.int8)
-    for i in range(x.shape[-1]):
-        s = x[..., i] + y[..., i] + carry
-        out[..., i] = s & 1
-        carry = s >> 1
+def _carry_kill_add(x: np.ndarray, y: np.ndarray, breaks: np.ndarray, span: int) -> np.ndarray:
+    """Add x + y, (..., n_words) words of span <= 63 bits, low word first,
+    as one carry chain cut after every bit set in the matching break word:
+    the partitioned add of Hacker's Delight, ch. 2. Break bits enter the
+    add cleared, so each takes its carry-in and passes none on; the XOR
+    restores its own sum bit. A word's carry-out (from bit 62 it lands in
+    the int64 sign bit, which the wrapping add keeps) enters the next."""
+    out = np.empty_like(x)
+    carry = 0
+    for k, h in enumerate(breaks.tolist()):
+        xk, yk = x[..., k], y[..., k]
+        s = ((xk & ~h) + (yk & ~h) + carry) ^ ((xk ^ yk) & h)
+        carry = (s >> span) & 1
+        out[..., k] = s & ((1 << span) - 1)
+    return out
 
 
 def segmented_add(x_bits: np.ndarray, y_bits: np.ndarray, breaks) -> np.ndarray:
-    """Ripple-carry add two bit vectors; carries stop at break positions.
-
-    Masks that break every seg bits ripple all segments side by side, as
-    (..., n_seg, seg) views plus one view for a trailing partial segment;
-    any other mask ripples bit by bit across the whole width."""
+    """Add two bit vectors (bit 0 first) along the last axis; a carry stops
+    after every bit i with breaks[i] set, as in a per-bit ripple. The bits
+    travel as 62-bit chunk words through the carry-kill adder, so no chunk
+    sum reaches the int64 sign bit, even as numpy scalars of a 1-D call."""
     x = np.asarray(x_bits, dtype=np.int8)
     y = np.asarray(y_bits, dtype=np.int8)
     if x.shape != y.shape or x.shape[-1] != len(breaks):
         raise ShapeError("operand/break widths disagree")
-    out = np.zeros_like(x)
-    seg = _uniform_segment(tuple(breaks))
-    if seg:
-        full = x.shape[-1] - x.shape[-1] % seg
-        lead = x.shape[:-1]
-        _ripple(*(v[..., :full].reshape(*lead, full // seg, seg) for v in (x, y, out)))
-        _ripple(x[..., full:], y[..., full:], out[..., full:])
-        return out
-    carry = np.zeros(x.shape[:-1], dtype=np.int8)
-    for i in range(x.shape[-1]):
-        s = x[..., i] + y[..., i] + carry
-        out[..., i] = s & 1
-        carry = s >> 1
-        if breaks[i]:
-            carry = np.zeros_like(carry)
-    return out
+    span = 62
+    s = _carry_kill_add(*(_bits_to_words(v, span) for v in (x, y, breaks)), span)
+    bits = (s[..., None] >> np.arange(span, dtype=np.int64)) & 1
+    return bits.reshape(*x.shape[:-1], s.shape[-1] * span)[..., : x.shape[-1]].astype(np.int8)
 
 
 def _field_values(reg_bits: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -214,33 +207,39 @@ def _field_values(reg_bits: np.ndarray, width: int, count: int) -> np.ndarray:
 
 def add_exponents(regs: PERegisters, bundle: ControlBundle) -> np.ndarray:
     """Sum activation and weight exponent fields per operation through the
-    segmented adder; returns (..., ops_per_load) sums."""
-    if bundle.add_width == 0:
-        return np.zeros(regs.act_reg.shape[:-1] + (bundle.ops_per_load,), dtype=np.int64)
-    seg = bundle.add_width + 1
-    segs_per_pass = bundle.cfg.exp_adder_bits // seg
+    segmented adder; returns (..., ops_per_load) sums. An adder pass holds
+    exp_adder_bits // seg lanes of seg = add_width + 1 bits, lane j at bit
+    j * seg, and travels as int64 words of up to 63 // seg whole lanes,
+    each added under its span of the compiled break mask; words past the
+    last operation's lane take no operand bits and are left out."""
     lead = regs.act_reg.shape[:-1]
     ops = bundle.ops_per_load
-    sums = np.zeros(lead + (ops,), dtype=np.int64)
-    for start in range(0, ops, segs_per_pass):
-        stop = min(start + segs_per_pass, ops)
-        o = np.arange(start, stop)
-        lane0 = (o - start)[:, None] * seg
-        x = np.zeros(lead + (bundle.cfg.exp_adder_bits,), dtype=np.int8)
-        y = np.zeros_like(x)
-        # lane bit t of an operation is bit t of its operand's field, which
-        # the MSB-first exponent register holds at elem * width + width - 1 - t
-        for dst, reg, elem, width in (
-            (x, regs.act_exp, o % bundle.n_acts, bundle.fmt_a.exp_bits),
-            (y, regs.wgt_exp, o // bundle.n_acts, bundle.fmt_w.exp_bits),
-        ):
-            t = np.arange(width)
-            dst[..., (lane0 + t).ravel()] = reg[..., (elem[:, None] * width + width - 1 - t).ravel()]
-        out = segmented_add(x, y, bundle.adder_breaks)
-        lanes = out[..., : (stop - start) * seg].reshape(*lead, stop - start, seg)
-        for t in range(seg):
-            sums[..., start:stop] += lanes[..., t].astype(np.int64) << t
-    return sums
+    if bundle.add_width == 0:
+        return np.zeros(lead + (ops,), dtype=np.int64)
+    seg = bundle.add_width + 1
+    per_pass = bundle.cfg.exp_adder_bits // seg
+    per_word = min(63 // seg, per_pass)
+    n_words = -(-min(ops, per_pass) // per_word)
+    passes = -(-ops // per_pass)
+    o = np.arange(ops)
+    word = o // per_pass * n_words + o % per_pass // per_word
+    shift = o % per_pass % per_word * seg
+
+    def to_words(reg, width, elem):
+        # field bit t, at reg[elem * width + width - 1 - t] (MSB first), goes to word bit shift + t
+        t = np.arange(width)
+        place = np.zeros((reg.shape[-1], passes * n_words), dtype=np.int64)
+        np.add.at(place, (elem[:, None] * width + width - 1 - t, word[:, None]), 1 << (shift[:, None] + t))
+        return (reg @ place).reshape(*lead, passes, n_words)
+
+    span = per_word * seg
+    s = _carry_kill_add(
+        to_words(regs.act_exp, bundle.fmt_a.exp_bits, o % bundle.n_acts),
+        to_words(regs.wgt_exp, bundle.fmt_w.exp_bits, o // bundle.n_acts),
+        _bits_to_words(bundle.adder_breaks, span)[:n_words],
+        span,
+    )
+    return (s.reshape(*lead, passes * n_words)[..., word] >> shift) & ((1 << seg) - 1)
 
 
 @dataclass

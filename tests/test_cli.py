@@ -251,6 +251,15 @@ class TestBadInput:
         ]
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("pairs", ["e2m3:e2m3,x\ny", "e2m3:e2m3\r", "e2m3:\x00e2m3", "e2m3:e2m3\u2028"])
+    def test_pair_with_control_character(self, command, pairs, tmp_path, capsys):
+        # the pairs go into run.csv's comment row, which a line break would split
+        self._expect_config_error(
+            [command, "--pairs", pairs, "--out", str(tmp_path)], capsys, "control character"
+        )
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("pair", ["int16:int16", "int4:e2m3"])
     def test_pair_the_pe_cannot_run(self, pair, tmp_path, capsys):
         # int16's 15-bit magnitude exceeds the 12-bit mantissa register, and

@@ -2,6 +2,7 @@
 and accumulate contracts, tiles, microscaling."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,10 @@ from anyprec.datapath import (
     TileStats,
     _group_reduce,
     accumulate,
+    add_exponents,
     apply_implicit_one,
     concat_shift,
+    encode_words,
     gen_primitives,
     load_registers,
     normalize_exponents,
@@ -157,6 +160,52 @@ class TestSegmentedAdd:
             assert np.array_equal(
                 segmented_add(x, y, breaks), self._ripple_reference(x, y, breaks)
             )
+        # full-width masks whose carries must cross 62/63-bit word boundaries:
+        # no break at all, a break-free run of 79 bits, a break only at the top
+        long_run = [1 if i in (20, 100) else 0 for i in range(144)]
+        for breaks in ([0] * 144, long_run, [0] * 143 + [1]):
+            x = rng.integers(0, 2, size=(7, 144), dtype=np.int8)
+            y = rng.integers(0, 2, size=(7, 144), dtype=np.int8)
+            x[0], y[0] = 1, 0
+            y[0, 0] = 1  # all ones + 1: one carry through every unbroken bit
+            assert np.array_equal(
+                segmented_add(x, y, breaks), self._ripple_reference(x, y, breaks)
+            )
+
+    @pytest.mark.parametrize("pair", ["e2m3:e2m2", "e4m3:e3m2"])
+    def test_add_exponents_follows_mutated_break_mask(self, pair):
+        """Flip each bit of the compiled mask in turn: add_exponents must equal
+        a per-bit ripple of the flipped mask over the adder's lane layout.
+        A break added on an operand bit must change a max-exponent sum.
+        Clearing a guard-bit break cannot: both operands leave the guard bit
+        zero, so it never carries out."""
+        fa, fw = (parse_format(t) for t in pair.split(":"))
+        bundle = compile_bundle(fa, fw, fa)
+        words_a = np.full((1, bundle.n_acts), (1 << fa.total_bits) - 1)
+        words_w = np.full((1, bundle.n_wgts), (1 << fw.total_bits) - 1)
+        regs = separate(load_registers(bundle, words_a, words_w), bundle)
+        ea, ew, seg = fa.exp_max, fw.exp_max, bundle.add_width + 1
+        per_pass, ops = 144 // seg, bundle.ops_per_load
+        x = np.zeros((-(-ops // per_pass), 144), dtype=np.int8)
+        y = np.zeros_like(x)
+        for o in range(ops):
+            p, lane = divmod(o, per_pass)
+            for t in range(seg - 1):
+                x[p, lane * seg + t] = (ea >> t) & 1
+                y[p, lane * seg + t] = (ew >> t) & 1
+        used = min(ops, per_pass)
+        for i in range(144):
+            breaks = list(bundle.adder_breaks)
+            breaks[i] ^= 1
+            ripple = self._ripple_reference(x, y, breaks)
+            want = [
+                sum(int(ripple[o // per_pass, (o % per_pass) * seg + t]) << t for t in range(seg))
+                for o in range(ops)
+            ]
+            got = add_exponents(regs, replace(bundle, adder_breaks=tuple(breaks)))
+            assert got[0].tolist() == want, i
+            on_operand_bit = i < used * seg and i % seg < seg - 1
+            assert (want != [ea + ew] * ops) == (breaks[i] == 1 and on_operand_bit), i
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_matches_scalar_addition(self, width):
@@ -166,6 +215,43 @@ class TestSegmentedAdd:
         xs = [rng.randrange(1 << width) for _ in range(count)]
         ys = [rng.randrange(1 << width) for _ in range(count)]
         assert self._add(xs, ys, width) == [a + b for a, b in zip(xs, ys)]
+
+
+INT_FORMATS = [parse_format(f"{u}int{n}") for u in ("", "u") for n in range(2, 13)]
+TRAILING_ZEROS = np.array([(v & -v).bit_length() - 1 if v else 0 for v in range(1 << 10)])
+LEADING_BIT = np.array([v.bit_length() - 1 for v in range(1 << 10)])
+
+
+class TestEncodeWordsEdges:
+    """encode_words against scalar encode for every significand below 2^10
+    whose leading bit lies within 2 of the underflow or the overflow edge.
+    The datapath and validate.oracle_words share encode_words, so C1 cannot
+    see an error in it."""
+
+    @staticmethod
+    def _edges(fmt):
+        # unbiased exponents of the lowest and highest encodable leading bit
+        if fmt.kind is Kind.FLOAT:
+            return -fmt.bias_value, fmt.exp_max - fmt.bias_value
+        return 0, fmt.man_bits - 1
+
+    @pytest.mark.parametrize("fmt", float_formats(12) + INT_FORMATS, ids=str)
+    def test_matches_scalar_encode_at_both_edges(self, fmt):
+        leads = sorted({edge + d for edge in self._edges(fmt) for d in range(-2, 3)})
+        sign, sig, lead = (
+            v.ravel() for v in np.meshgrid([0, 1], np.arange(1 << 10), leads, indexing="ij")
+        )
+        exp2 = lead - LEADING_BIT[sig]
+        got = encode_words(sign, sig, exp2, fmt)
+        # the scalar reference runs once per distinct value sig * 2^exp2
+        keys = np.stack([sign, sig >> TRAILING_ZEROS[sig], exp2 + TRAILING_ZEROS[sig]], axis=1)
+        values, inverse = np.unique(keys, axis=0, return_inverse=True)
+        ref = np.array([encode(ExactNumber(s, m, e), fmt).word() for s, m, e in values.tolist()])
+        want = ref[inverse.ravel()]
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, [
+            (int(sign[i]), int(sig[i]), int(exp2[i]), int(got[i]), int(want[i])) for i in bad[:5]
+        ]
 
 
 class TestSeparateInverse:
