@@ -1,11 +1,13 @@
 """Command-line front end: validate, run, pack, ablate.
 
 Exit codes: 0 success, 1 validation mismatch, 2 configuration error.
-`run` and `ablate` expand each (model, pair, layer class) once, simulate
-and format each distinct GEMM point (dims and formats) once, and give its
-rows to every layer of the model; rows are canonically ordered before
-writing. `--jobs` is accepted for compatibility but has no effect: the
-sweep runs on one thread.
+`run` and `ablate` load the machine once, expand each (model, pair, layer
+class) once, and simulate and format each distinct GEMM point (dims and
+formats) once. The writer sorts and joins each layer class's rows once per
+model, as a block of `pair,...` lines, and writes every layer of the class
+as its `model,layer,` prefix joined onto that block, layers in text order.
+The file is opened only after every point is simulated. `--jobs` is
+accepted for compatibility but has no effect: the sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from . import archsim, bitpack, cost, validate, workloads
 from .codec import parse_format
@@ -63,51 +66,100 @@ def _fmt_num(x) -> str:
     return str(x)
 
 
-def _sweep(manifest: RunManifest, evaluate) -> list:
-    """(model name, layer such as L00.qkv, pair, evaluate(g)) for every GEMM
-    point of the manifest's sweep, grouped by model, pair and layer class.
+def _sweep(manifest: RunManifest, pe_cfg: PEConfig, evaluate) -> list:
+    """(model, {layer class: [(pair, evaluate(g)), ...]}) for every model of
+    the manifest, in manifest order, each class's pairs in sweep order.
     Every layer of a model repeats the same layer-class GEMMs, so the sweep
-    is expanded on a one-layer view of the model and each class's result
-    goes to every layer by label. `evaluate` may depend only on the GEMM's
-    dims and formats, so it runs once per distinct point. Pairs the
-    machine's PE cannot run are skipped like malformed ones."""
-    pe_cfg = PEConfig(reg_width=archsim.load_machine(manifest.machine).reg_width)
+    is expanded on a one-layer view of the model. `evaluate` may depend
+    only on the GEMM's dims and formats, so it runs once per distinct
+    point. Pairs the PE `pe_cfg` cannot run are skipped like malformed
+    ones."""
     done = {}
     out = []
     for model_name in manifest.models:
         model = workloads.load_model(model_name)
-        one_layer = replace(model, num_layers=1)
-        skip = len(model.name) + 1
-        # one-layer label of each class -> its layer column (L00.qkv, ...) in every layer
-        labels = {
-            workloads.layer_label(model, 0, cls): [
-                workloads.layer_label(model, layer, cls)[skip:] for layer in range(model.num_layers)
-            ]
-            for cls in workloads.LAYER_CLASSES
-        }
+        by_class = {}
         for pa, pw, gemms in workloads.precision_sweep(
-            one_layer, manifest.pairs, include_attention=manifest.include_attention, pe_cfg=pe_cfg
+            replace(model, num_layers=1), manifest.pairs,
+            include_attention=manifest.include_attention, pe_cfg=pe_cfg,
         ):
             pair = f"{pa}:{pw}"
             for g in gemms:
                 key = (g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o)
                 if key not in done:
                     done[key] = evaluate(g)
-                value = done[key]
-                out.extend((model.name, label, pair, value) for label in labels[g.label])
+                by_class.setdefault(g.label.rpartition(".")[2], []).append((pair, done[key]))
+        out.append((model, by_class))
     return out
 
 
-def _simulate_point(machine, g, dataflow, table):
+_CSV_BUFFER = 1 << 20  # bytes of run.csv / ablate.csv buffered per write call
+
+
+def _write_csv(path, head, sweep, units) -> list:
+    """Write the lines `head`, then the rows of every point of `sweep`, to
+    `path`; return the units' values in row order.
+
+    `units(pair, value)` lists a point's sort units: (key, its rows after
+    `model,layer,`, a value). Rows go by model name, then layer label as
+    text (L10 < L100 < L11), then unit key, ties in sweep order. Each
+    layer class's units are sorted and joined once per model into a block
+    of `pair,...` lines, and every layer of that class gets its
+    `model,layer,` prefix joined onto the block."""
+    by_name = {}
+    for model, by_class in sweep:
+        by_name.setdefault(model.name, []).append((model, by_class))
+    layout = []  # (`model,layer,` prefix, rows) per layer, in row order
+    values = []
+    for name in sorted(by_name):
+        models = by_name[name]
+        skip = len(name) + 1
+        # layer column -> (its class, the models of this name that have the layer)
+        layers = {}
+        for i, (model, by_class) in enumerate(models):
+            for cls in by_class:
+                for layer in range(model.num_layers):
+                    label = workloads.layer_label(model, layer, cls)[skip:]
+                    layers.setdefault(label, (cls, []))[1].append(i)
+        blocks = {}
+        for layer in sorted(layers):
+            cls, members = layers[layer]
+            key = (cls, *members)
+            if key not in blocks:
+                points = (p for i in members for p in models[i][1][cls])
+                found = sorted(
+                    (u for pair, value in points for u in units(pair, value)), key=itemgetter(0)
+                )
+                blocks[key] = (
+                    [row for _, rows, _ in found for row in rows],
+                    [value for _, _, value in found],
+                )
+            rows, vals = blocks[key]
+            layout.append((f"{name},{layer},", rows))
+            values.extend(vals)
+    with open(path, "w", newline="\n", buffering=_CSV_BUFFER) as fh:
+        fh.write("\n".join(head) + "\n")
+        for prefix, rows in layout:
+            fh.writelines((prefix, ("\n" + prefix).join(rows), "\n"))
+    return values
+
+
+def _out_path(manifest: RunManifest, name: str) -> str:
+    out_dir = os.environ.get("ANYPREC_OUTPUT_DIR", manifest.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def _simulate_point(machine, pe_cfg, g, dataflow, table):
     """The run.csv row tails (everything after model,layer,pair) of one
     point, one per architecture, and the flexible design's seconds and
     joules."""
     if dataflow == "best":
-        flex = archsim.best_dataflow(g, machine)
+        flex = archsim.best_dataflow(g, machine, pe_cfg)
     else:
-        flex = archsim.simulate(g, machine, dataflow)
-    tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
-    bf = archsim.simulate_baseline(g, machine, archsim.BIT_FUSION)
+        flex = archsim.simulate(g, machine, dataflow, pe_cfg)
+    tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE, pe_cfg)
+    bf = archsim.simulate_baseline(g, machine, archsim.BIT_FUSION, pe_cfg)
     tails = []
     for arch, rep in (("flexible", flex), ("tensorcore", tc), ("bitfusion", bf)):
         total, _ = cost.energy(rep, table)
@@ -130,34 +182,53 @@ def _simulate_point(machine, g, dataflow, table):
     return tails, flex.seconds, flex.energy_j
 
 
+def _ablate_point(machine, pe_cfg, g, dataflow):
+    """The ablate.csv row tails (the fields after model,layer,pair) of one
+    point: packed, then padded."""
+    packed, padded = archsim.packing_ablation(g, machine, dataflow, pe_cfg)
+    tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE, pe_cfg)
+    imp = 1 - packed.cycles / padded.cycles
+    tails = []
+    for layout, rep in (("packed", packed), ("padded", padded)):
+        bound = max(
+            rep.breakdowns["cycles"],
+            key=lambda k: rep.breakdowns["cycles"][k],
+        )
+        tails.append(
+            [
+                layout, rep.dataflow, str(rep.cycles),
+                _fmt_num(rep.seconds), str(rep.dram_bits_read),
+                str(rep.dram_bits_written), str(rep.noc_bits),
+                bound, _fmt_num(imp if layout == "packed" else 0.0),
+                _fmt_num(rep.cycles / tc.cycles),
+            ]
+        )
+    return tails
+
+
 def cmd_run(manifest: RunManifest, stdout=None) -> int:
     stdout = stdout or sys.stdout
     machine = archsim.load_machine(manifest.machine)
+    pe_cfg = PEConfig(reg_width=machine.reg_width)
     table = cost.load_energy_table(manifest.energy_table)
-    results = _sweep(
-        manifest, lambda g: _simulate_point(machine, g, manifest.dataflow, table)
+    sweep = _sweep(
+        manifest, pe_cfg, lambda g: _simulate_point(machine, pe_cfg, g, manifest.dataflow, table)
     )
-    results.sort(key=lambda r: r[:3])
-
-    out_dir = os.environ.get("ANYPREC_OUTPUT_DIR", manifest.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "run.csv")
-    lines = [
-        f"# {SCHEMA_VERSION} {manifest.describe()}",
-        ",".join(RUN_COLUMNS),
-    ]
+    path = _out_path(manifest, "run.csv")
+    head = (f"# {SCHEMA_VERSION} {manifest.describe()}", ",".join(RUN_COLUMNS))
+    # one unit per point: its three rows stay together, tied points in sweep order
+    flex = _write_csv(
+        path, head, sweep,
+        lambda pair, point: [(pair, [f"{pair},{tail}" for tail in point[0]], point[1:])],
+    )
     total_s = total_e = 0
-    for model_name, layer, pair, (tails, flex_s, flex_e) in results:
-        prefix = f"{model_name},{layer},{pair},"
-        lines.extend(prefix + tail for tail in tails)
+    for flex_s, flex_e in flex:  # in row order, so the sums repeat bit for bit
         total_s += flex_s
         total_e += flex_e
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
-    if results:
+    if flex:
         print(
-            f"{len(results)} points -> {path}\n"
+            f"{len(flex)} points -> {path}\n"
             f"flexible total: {total_s:.6g} s, {total_e:.6g} J",
             file=stdout,
         )
@@ -169,43 +240,16 @@ def cmd_run(manifest: RunManifest, stdout=None) -> int:
 def cmd_ablate(manifest: RunManifest, stdout=None) -> int:
     stdout = stdout or sys.stdout
     machine = archsim.load_machine(manifest.machine)
+    pe_cfg = PEConfig(reg_width=machine.reg_width)
     df = manifest.dataflow if manifest.dataflow != "best" else archsim.WS
-
-    def evaluate(g):
-        packed, padded = archsim.packing_ablation(g, machine, df)
-        tc = archsim.simulate_baseline(g, machine, archsim.TENSOR_CORE)
-        imp = 1 - packed.cycles / padded.cycles
-        tails = []
-        for layout, rep in (("packed", packed), ("padded", padded)):
-            bound = max(
-                rep.breakdowns["cycles"],
-                key=lambda k: rep.breakdowns["cycles"][k],
-            )
-            tails.append(
-                [
-                    layout, rep.dataflow, str(rep.cycles),
-                    _fmt_num(rep.seconds), str(rep.dram_bits_read),
-                    str(rep.dram_bits_written), str(rep.noc_bits),
-                    bound, _fmt_num(imp if layout == "packed" else 0.0),
-                    _fmt_num(rep.cycles / tc.cycles),
-                ]
-            )
-        return tails
-
-    rows = [
-        [model_name, layer, pair, *tail]
-        for model_name, layer, pair, tails in _sweep(manifest, evaluate)
-        for tail in tails
-    ]
-    rows.sort()
-    out_dir = os.environ.get("ANYPREC_OUTPUT_DIR", manifest.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "ablate.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION} ablation {manifest.describe()}\n")
-        fh.write(",".join(ABLATE_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(r) + "\n")
+    sweep = _sweep(manifest, pe_cfg, lambda g: _ablate_point(machine, pe_cfg, g, df))
+    path = _out_path(manifest, "ablate.csv")
+    head = (f"# {SCHEMA_VERSION} ablation {manifest.describe()}", ",".join(ABLATE_COLUMNS))
+    # one unit per row, ordered by its fields as a list
+    rows = _write_csv(
+        path, head, sweep,
+        lambda pair, tails: [([pair, *tail], [",".join([pair, *tail])], None) for tail in tails],
+    )
     print(f"{len(rows)} rows -> {path}", file=stdout)
     return 0
 

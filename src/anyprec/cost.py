@@ -111,8 +111,3 @@ def perf_per_area(report: SimReport, table: EnergyTable, num_pes: int) -> float:
 def edp(seconds: float, joules: float) -> float:
     """Energy-delay product in joule-seconds."""
     return seconds * joules
-
-
-def edp_report(report: SimReport, table: EnergyTable) -> float:
-    total, _ = energy(report, table)
-    return edp(report.seconds, total)

@@ -128,14 +128,14 @@ def total_macs(model: ModelSpec, include_attention: bool = True) -> int:
 def precision_sweep(
     model: ModelSpec,
     pairs,
-    fmt_o_policy: str = "act",
     include_attention: bool = True,
     pe_cfg: PEConfig = PEConfig(),
 ) -> list[tuple[str, str, list[GemmWorkload]]]:
     """Cross product of the model's GEMMs with precision pairs, stable
-    ordering. Pairs may be FormatSpec tuples or "actfmt:wgtfmt" strings;
-    invalid pairs, and pairs the PE `pe_cfg` cannot run, are skipped with
-    a warning, but rejecting every pair given is a ConfigError."""
+    ordering, every output in the pair's activation format. Pairs may be
+    FormatSpec tuples or "actfmt:wgtfmt" strings; invalid pairs, and pairs
+    the PE `pe_cfg` cannot run, are skipped with a warning, but rejecting
+    every pair given is a ConfigError."""
     out = []
     rejected = []
     for pair in pairs:
@@ -150,10 +150,7 @@ def precision_sweep(
             log.warning("skipping precision pair %r: %s", pair, exc)
             rejected.append(pair)
             continue
-        fmt_o = fa if fmt_o_policy == "act" else parse_format(fmt_o_policy)
-        out.append(
-            (str(fa), str(fw), expand(model, fa, fw, fmt_o, include_attention))
-        )
+        out.append((str(fa), str(fw), expand(model, fa, fw, fa, include_attention)))
     if rejected and not out:
         raise ConfigError(f"no valid precision pair among {rejected!r}")
     return out

@@ -7,7 +7,7 @@ import pytest
 from anyprec.archsim import GemmWorkload, best_dataflow, load_machine, packing_ablation, pe_throughput
 from anyprec.codec import parse_format
 from anyprec.control import PEConfig
-from anyprec.cost import EnergyTable, edp, edp_report, energy, load_energy_table, perf_per_area
+from anyprec.cost import EnergyTable, edp, energy, load_energy_table, perf_per_area
 from anyprec.errors import ConfigError
 
 FP6 = parse_format("e2m3")
@@ -121,9 +121,9 @@ class TestEdp:
         assert edp(4.78, 97.70e-6) * 1e6 == pytest.approx(467.01, rel=0.01)
 
     def test_doubling_latency_doubles_edp(self, table, report):
-        base = edp_report(report, table)
+        base = edp(report.seconds, energy(report, table)[0])
         slower = dataclasses.replace(report, seconds=report.seconds * 2)
-        assert edp_report(slower, table) == pytest.approx(2 * base)
+        assert edp(slower.seconds, energy(slower, table)[0]) == pytest.approx(2 * base)
 
     def test_serial_stub_loses_on_edp(self, table, report):
         # 52x latency at 7.1x lower power: energy = power*time rises 52/7.1

@@ -1,5 +1,7 @@
 """Pinned `run.csv` / `ablate.csv` bytes for the shipped presets, and the
-row order of a long model against a per-layer reference sweep.
+bytes and stdout of `run` / `ablate` against reference writers that sort
+one row per (model, layer, pair) from a per-layer sweep: on a long model
+and on seeded random manifests.
 
 Any change to a simulated figure, its formatting or the row order moves a
 digest here; a change that moves one on purpose says so and lists the rows.
@@ -7,12 +9,15 @@ digest here; a change that moves one on purpose says so and lists the rows.
 
 import hashlib
 import io
+import os
+import random
 
 import pytest
 
-from anyprec import cli, workloads
+from anyprec import archsim, cli, cost, workloads
 from anyprec.cli import RunManifest, cmd_ablate, cmd_run
 from anyprec.codec import parse_format
+from anyprec.control import PEConfig
 from anyprec.workloads import DEFAULT_SWEEP_PAIRS, ModelSpec
 
 # default pairs, best dataflow, one run per (machine, model) preset
@@ -64,17 +69,17 @@ def test_ablate_csv_pinned(machine, model, dataflow, tmp_path):
     assert _sha256(tmp_path / "ablate.csv") == ABLATE_CSV_SHA256[machine, model, dataflow]
 
 
-def per_layer_sweep(manifest, evaluate):
+def per_layer_sweep(manifest, pe_cfg, evaluate):
     """Reference sweep: one GemmWorkload per (layer, class, pair) from
     `precision_sweep` / `expand` on the whole model, each distinct point
-    evaluated once, rows in sweep order (the commands sort them); like
-    `cli._sweep`, it gives each layer's label without the model name."""
+    evaluated once; (model name, layer such as L00.qkv, pair, value) rows
+    in sweep order."""
     done = {}
     out = []
     for model_name in manifest.models:
         model = workloads.load_model(model_name)
         for pa, pw, gemms in workloads.precision_sweep(
-            model, manifest.pairs, include_attention=manifest.include_attention
+            model, manifest.pairs, include_attention=manifest.include_attention, pe_cfg=pe_cfg
         ):
             for g in gemms:
                 key = (g.m, g.n, g.k, g.fmt_a, g.fmt_w, g.fmt_o)
@@ -83,6 +88,76 @@ def per_layer_sweep(manifest, evaluate):
                 layer = g.label[len(model.name) + 1:]
                 out.append((model.name, layer, f"{pa}:{pw}", done[key]))
     return out
+
+
+def _machine(manifest):
+    machine = archsim.load_machine(manifest.machine)
+    return machine, PEConfig(reg_width=machine.reg_width)
+
+
+def reference_run(manifest, stdout):
+    """`anyprec run` as one sorted (model, layer, pair, point) tuple per
+    row: a stable sort on the first three fields, then three lines each."""
+    machine, pe_cfg = _machine(manifest)
+    table = cost.load_energy_table(manifest.energy_table)
+    results = per_layer_sweep(
+        manifest, pe_cfg, lambda g: cli._simulate_point(machine, pe_cfg, g, manifest.dataflow, table)
+    )
+    results.sort(key=lambda r: r[:3])
+    path = os.path.join(manifest.out_dir, "run.csv")
+    os.makedirs(manifest.out_dir, exist_ok=True)
+    lines = [f"# {cli.SCHEMA_VERSION} {manifest.describe()}", ",".join(cli.RUN_COLUMNS)]
+    total_s = total_e = 0
+    for model_name, layer, pair, (tails, flex_s, flex_e) in results:
+        prefix = f"{model_name},{layer},{pair},"
+        lines.extend(prefix + tail for tail in tails)
+        total_s += flex_s
+        total_e += flex_e
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if results:
+        print(f"{len(results)} points -> {path}\nflexible total: {total_s:.6g} s, {total_e:.6g} J",
+              file=stdout)
+    else:
+        print(f"0 points -> {path}", file=stdout)
+
+
+def reference_ablate(manifest, stdout):
+    """`anyprec ablate` as one field list per row, sorted as lists."""
+    machine, pe_cfg = _machine(manifest)
+    df = manifest.dataflow if manifest.dataflow != "best" else "ws"
+    rows = [
+        [model_name, layer, pair, *tail]
+        for model_name, layer, pair, tails in per_layer_sweep(
+            manifest, pe_cfg, lambda g: cli._ablate_point(machine, pe_cfg, g, df)
+        )
+        for tail in tails
+    ]
+    rows.sort()
+    path = os.path.join(manifest.out_dir, "ablate.csv")
+    os.makedirs(manifest.out_dir, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# {cli.SCHEMA_VERSION} ablation {manifest.describe()}\n")
+        fh.write(",".join(cli.ABLATE_COLUMNS) + "\n")
+        for r in rows:
+            fh.write(",".join(r) + "\n")
+    print(f"{len(rows)} rows -> {path}", file=stdout)
+
+
+def assert_matches_reference(command, manifest, tmp_path):
+    """The command's file bytes and stdout equal its reference writer's,
+    and return the file bytes."""
+    reference, name = {cmd_run: (reference_run, "run.csv"),
+                       cmd_ablate: (reference_ablate, "ablate.csv")}[command]
+    got_out, want_out = io.StringIO(), io.StringIO()
+    command(manifest(tmp_path / "got"), stdout=got_out)
+    reference(manifest(tmp_path / "want"), stdout=want_out)
+    got = (tmp_path / "got" / name).read_bytes()
+    assert got == (tmp_path / "want" / name).read_bytes()
+    assert got_out.getvalue().replace(str(tmp_path / "got"), str(tmp_path / "want")) == (
+        want_out.getvalue()
+    )
+    return got
 
 
 # 101 layers: labels L99 / L100 sort as strings (L10 < L100 < L11)
@@ -100,8 +175,7 @@ LONG_MODEL = ModelSpec(
     (cmd_run, "run.csv", False),
     (cmd_ablate, "ablate.csv", True),
 ])
-def test_long_model_rows_match_per_layer_sweep(command, name, include_attention, tmp_path,
-                                               monkeypatch):
+def test_long_model_rows_match_per_layer_sweep(command, name, include_attention, tmp_path):
     def manifest(out):
         # a duplicate pair and a duplicate model name give tied sort keys
         return RunManifest(
@@ -110,17 +184,48 @@ def test_long_model_rows_match_per_layer_sweep(command, name, include_attention,
             out_dir=str(out), include_attention=include_attention,
         )
 
-    got_out, want_out = io.StringIO(), io.StringIO()
-    command(manifest(tmp_path / "got"), stdout=got_out)
-    monkeypatch.setattr(cli, "_sweep", per_layer_sweep)
-    command(manifest(tmp_path / "want"), stdout=want_out)
-    got = (tmp_path / "got" / name).read_bytes()
-    assert got == (tmp_path / "want" / name).read_bytes()
-    assert got_out.getvalue().replace(str(tmp_path / "got"), str(tmp_path / "want")) == (
-        want_out.getvalue()
-    )
+    got = assert_matches_reference(command, manifest, tmp_path)
     # layers sort as strings: L10 < L100 < L11, and L99 last
     layers = [row.split(b",")[1] for row in got.splitlines()[2:] if row.startswith(b"long,")]
     assert layers == sorted(layers)
     assert layers.index(b"L10.qkv") < layers.index(b"L100.qkv") < layers.index(b"L11.ffn_up")
     assert layers[-1] == b"L99.qkv"
+
+
+# pairs the property draws from: valid ones, and ones every shipped PE rejects
+VALID_PAIRS = ("e2m3:e2m3", "e4m3:e2m1", "e5m10:e2m3", "e2m1:e2m1", "int4:int4", "int8:int3")
+REJECTED_PAIRS = ("int16:int16", "int4:e2m3", "e2m3")
+PLAN_FORMATS = ("e2m1", "e2m3", "e4m3", "e5m10")
+
+
+def random_manifest(rng, out):
+    """1-3 models from a small name pool, so names repeat with other dims;
+    1-120 layers; a random precision plan; duplicate and rejected pairs."""
+    models = []
+    for _ in range(rng.randint(1, 3)):
+        head_dim = rng.choice([16, 32])
+        plan = {
+            cls: (parse_format(rng.choice(PLAN_FORMATS)), parse_format(rng.choice(PLAN_FORMATS)))
+            for cls in rng.sample(workloads.LAYER_CLASSES, rng.randint(0, 3))
+        }
+        models.append(ModelSpec(
+            rng.choice(["m", "m.x", "m+"]), seq_len=rng.choice([8, 16, 48]),
+            num_layers=rng.randint(1, 120), d_model=head_dim * rng.randint(1, 6),
+            d_ff=16 * rng.randint(1, 24), head_dim=head_dim, precision_plan=plan,
+        ))
+    pairs = rng.sample(VALID_PAIRS, rng.randint(1, 3))
+    pairs += rng.choices(pairs + list(REJECTED_PAIRS), k=rng.randint(0, 3))
+    rng.shuffle(pairs)
+    return RunManifest(
+        machine=rng.choice(["mobile_a", "mobile_b", "cloud_a", "cloud_b"]), models=models,
+        pairs=pairs, dataflow=rng.choice(["ws", "os", "best"]), out_dir=str(out),
+        include_attention=rng.random() < 0.5,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("command", [cmd_run, cmd_ablate])
+def test_random_manifest_matches_reference_writer(command, seed, tmp_path):
+    assert_matches_reference(
+        command, lambda out: random_manifest(random.Random(seed), out), tmp_path
+    )
